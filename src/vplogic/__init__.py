@@ -2,7 +2,6 @@
 connectives, deductive closure, temporal quantifiers, question
 operators, and fuzzy frequency statements."""
 
-from ._kernel import backend as kernel_backend
 from .dialogue import (
     HOW,
     WHICH_KIND,

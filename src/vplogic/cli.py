@@ -81,6 +81,19 @@ class Emitter:
                 print(line)
 
 
+def cap_value(text: str) -> int:
+    """A closure cap from ``--cap`` or ``VPL_CAP``: a positive integer."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid cap {text!r}: expected a positive integer"
+        )
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vplogic",
@@ -97,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="auto-register unknown atoms mentioned by fact lines",
     )
     common.add_argument(
-        "--cap", type=int, default=None,
+        "--cap", type=cap_value, default=None,
         help="bound on closure size (default 10000, or VPL_CAP)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -134,6 +147,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     emitter = Emitter(args.command, args.output == "machine")
     try:
+        cap = args.cap or cap_value(os.environ.get("VPL_CAP", str(inference.DEFAULT_CAP)))
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: VPL_CAP: {exc}", file=sys.stderr)
+        return 2
+    try:
         kb, world = dsl.load_path(args.kb, lenient=args.lenient)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -141,7 +159,6 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {args.kb}: {exc}", file=sys.stderr)
         return 2
-    cap = args.cap if args.cap is not None else int(os.environ.get("VPL_CAP", inference.DEFAULT_CAP))
     handler = _HANDLERS[args.command]
     try:
         return handler(args, kb, world, emitter, cap)
@@ -312,9 +329,9 @@ def _cmd_repl(args, kb, world, emitter, cap) -> int:
             print(json.dumps(
                 {"command": "repl", "status": "ok", "response": response},
                 sort_keys=True,
-            ))
+            ), flush=True)
         else:
-            print(response)
+            print(response, flush=True)
     return 0
 
 

@@ -87,7 +87,10 @@ class Preorder:
         self._edges: set[tuple[str, str, str]] = set()
         self._up: dict[str, dict[str, set[str]]] = {}
         self._down: dict[str, dict[str, set[str]]] = {}
-        self._reach_cache: dict[str | None, list[int]] = {}
+        # Closure rows per label: up-sets, and down-sets (the closure of
+        # the reversed edges), each built on first use.
+        self._up_rows: dict[str | None, list[int]] = {}
+        self._down_rows: dict[str | None, list[int]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -102,7 +105,8 @@ class Preorder:
             self._order.append(ident)
             self._up[ident] = {}
             self._down[ident] = {}
-            self._reach_cache.clear()
+            self._up_rows.clear()
+            self._down_rows.clear()
         return atom
 
     def declare(self, lower, upper, label: str) -> Preorder:
@@ -118,7 +122,8 @@ class Preorder:
             self._edges.add(edge)
             self._up[lo.id].setdefault(hi.id, set()).add(label)
             self._down[hi.id].setdefault(lo.id, set()).add(label)
-            self._reach_cache.clear()
+            self._up_rows.clear()
+            self._down_rows.clear()
         return self
 
     # -- lookups ------------------------------------------------------
@@ -202,16 +207,18 @@ class Preorder:
             return Literal(atom, ref.negated)
         return Literal(self._resolve(ref), False)
 
-    def _closure(self, label: str | None = None) -> list[int]:
-        reach = self._reach_cache.get(label)
+    def _closure(self, label: str | None = None, reverse: bool = False) -> list[int]:
+        cache = self._down_rows if reverse else self._up_rows
+        reach = cache.get(label)
         if reach is None:
+            index = self._index
             edges = [
-                (self._index[lo], self._index[hi])
+                (index[hi], index[lo]) if reverse else (index[lo], index[hi])
                 for lo, hi, lab in self._edges
                 if label is None or lab == label
             ]
             reach = reach_closure(len(self._order), edges)
-            self._reach_cache[label] = reach
+            cache[label] = reach
         return reach
 
     def _reaches(self, frm: str, to: str, label: str | None = None) -> bool:
@@ -219,16 +226,15 @@ class Preorder:
         return bool(reach[self._index[frm]] >> self._index[to] & 1)
 
     def _up_ids(self, ident: str, label: str | None = None) -> list[str]:
-        reach = self._closure(label)
-        row = reach[self._index[ident]]
+        return self._decode(self._closure(label)[self._index[ident]])
+
+    def _down_ids(self, ident: str, label: str | None = None) -> list[str]:
+        return self._decode(self._closure(label, reverse=True)[self._index[ident]])
+
+    def _decode(self, row: int) -> list[str]:
         out = []
         while row:
             bit = row & -row
             out.append(self._order[bit.bit_length() - 1])
             row ^= bit
         return out
-
-    def _down_ids(self, ident: str, label: str | None = None) -> list[str]:
-        reach = self._closure(label)
-        j = self._index[ident]
-        return [self._order[i] for i in range(len(self._order)) if reach[i] >> j & 1]

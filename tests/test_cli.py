@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import select
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
+import vplogic
 from vplogic.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -219,6 +225,43 @@ def test_vpl_cap_env(monkeypatch):
     monkeypatch.setenv("VPL_CAP", "2")
     code, out, err = run_cli("closure", HOUSING, "i future buy*house*california")
     assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+def test_bad_vpl_cap_env_is_a_usage_error(monkeypatch, value):
+    monkeypatch.setenv("VPL_CAP", value)
+    code, out, err = run_cli("closure", HOUSING, "i future buy*house*california")
+    assert code == 2 and out == ""
+    assert err == f"error: VPL_CAP: invalid cap {value!r}: expected a positive integer\n"
+    monkeypatch.delenv("VPL_CAP")
+    code, _, err = run_cli(
+        "closure", HOUSING, "i future buy*house*california", f"--cap={value}"
+    )
+    assert code == 2
+    assert f"argument --cap: invalid cap {value!r}: expected a positive integer" in err
+
+
+@pytest.mark.parametrize("output", ["text", "machine"])
+def test_repl_flushes_each_answer(output):
+    # A pipe is block-buffered unless PYTHONUNBUFFERED is set, so an
+    # answer that is not flushed only arrives when the repl exits.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(vplogic.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "vplogic.cli", "repl", HOUSING, "--output", output],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True, env=env,
+    ) as proc:
+        proc.stdin.write("= i future own*property*us\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 20)
+        answer = proc.stdout.readline() if ready else None
+    assert answer is not None, "no answer while the repl is still running"
+    if output == "text":
+        assert answer == "A: plan\n"
+    else:
+        assert json.loads(answer)["response"] == "A: plan"
 
 
 # -- machine output ---------------------------------------------------------------

@@ -2,14 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vplogic._kernel import backend, reach_py
+from vplogic._kernel import reach_closure
 
 from oracles import dfs_pairs
-
-try:
-    from vplogic._kernel import _reach
-except ImportError:
-    _reach = None
 
 
 def to_pairs(masks):
@@ -21,44 +16,52 @@ def to_pairs(masks):
     }
 
 
-graphs = st.integers(0, 14).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.lists(
-            st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
-            max_size=30,
+def cyclic_graphs(max_nodes):
+    """Graphs with up to 3n edges, self-loops and 2-cycles included, so
+    components of every size and long chains through them turn up."""
+
+    def with_edges(n):
+        node = st.integers(0, n - 1)
+        edge = st.tuples(node, node)
+        two_cycle = node.flatmap(lambda a: node.map(lambda b: [(a, b), (b, a)]))
+        return st.tuples(
+            st.just(n),
+            st.tuples(
+                st.lists(edge, max_size=3 * n),
+                st.lists(two_cycle, max_size=3),
+                st.lists(node.map(lambda a: (a, a)), max_size=3),
+            ).map(lambda parts: parts[0] + sum(parts[1], []) + parts[2]),
         )
-        if n
-        else st.just([]),
-    )
-)
+
+    return st.integers(1, max_nodes).flatmap(with_edges)
 
 
-@given(graphs)
+@given(cyclic_graphs(60))
+@settings(max_examples=300)
 def test_pure_matches_dfs(graph):
     n, edges = graph
-    assert to_pairs(reach_py.reach_closure(n, edges)) == dfs_pairs(n, edges)
-
-
-@pytest.mark.skipif(_reach is None, reason="compiled kernel not built")
-@given(graphs)
-@settings(max_examples=200)
-def test_compiled_matches_pure(graph):
-    n, edges = graph
-    assert _reach.reach_closure(n, edges) == reach_py.reach_closure(n, edges)
-
-
-@pytest.mark.skipif(_reach is None, reason="compiled kernel not built")
-def test_compiled_handles_wide_graphs():
-    # More than one 64-bit block per row.
-    n = 150
-    edges = [(i, i + 1) for i in range(n - 1)]
-    assert _reach.reach_closure(n, edges) == reach_py.reach_closure(n, edges)
-
-
-def test_backend_is_reported():
-    assert backend in ("compiled", "python")
+    assert to_pairs(reach_closure(n, edges)) == dfs_pairs(n, edges)
 
 
 def test_empty_graph():
-    assert reach_py.reach_closure(0, []) == []
+    assert reach_closure(0, []) == []
+
+
+def test_wide_rows():
+    # More than one 64-bit word per row, with a cycle closing the chain.
+    n = 150
+    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 70)]
+    assert to_pairs(reach_closure(n, edges)) == dfs_pairs(n, edges)
+
+
+def test_long_chain_does_not_recurse():
+    n = 5000
+    rows = reach_closure(n, [(i, i + 1) for i in range(n - 1)])
+    full = (1 << n) - 1
+    assert all(row == full ^ ((1 << i) - 1) for i, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 0), (0, -1), (-3, -3)])
+def test_out_of_range_endpoint_raises(edge):
+    with pytest.raises(IndexError):
+        reach_closure(3, [(0, 1), edge])
