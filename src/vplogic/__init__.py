@@ -29,7 +29,6 @@ from .errors import VplError
 from .fuzzy import (
     DEFAULT_SCALE,
     AdverbScale,
-    DegreeEntry,
     NVIso,
     adverb_for,
     fuzzy_statement,

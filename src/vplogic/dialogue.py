@@ -8,6 +8,7 @@ actually supports, not from the whole taxonomy.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -17,14 +18,13 @@ from .errors import (
     ResolutionError,
     SlotOutOfRange,
     UnknownAtom,
-    VagueTense,
     VplError,
 )
 from . import dsl
 from .inference import closure
 from .order import KIND_OF, PART_OF, Literal
-from .phrase import vp_chain, vp_leq
-from .sentence import FACTUAL, PLAN, Leaf, Sentence, World
+from .phrase import phrase_leq, vp_chain
+from .sentence import FACTUAL, PLAN, Leaf, Sentence, World, supports
 
 HOW = "how"
 WHICH_PART = "which_part"
@@ -72,7 +72,7 @@ def apply_question(world: World, operator: str, sentence: Sentence,
     operator = OPERATOR_ALIASES.get(operator, operator)
     if operator not in (HOW, WHICH_PART, WHICH_KIND):
         raise ValueError(f"unknown question operator: {operator!r}")
-    world.kb.check_sentence(sentence)
+    world.kb.check_phrase(sentence.vp)
     if not _held(world, sentence):
         raise NotFactual(f"the world does not support {sentence.text()!r}")
     vp = sentence.vp
@@ -108,10 +108,11 @@ def apply_question(world: World, operator: str, sentence: Sentence,
 
 
 def _most_specific(kb, sentences) -> Sentence:
-    """Minimal elements under the phrase order, lexicographic tie-break."""
+    """Minimal elements under the phrase order, lexicographic tie-break.
+    Phrases of different arity are incomparable: neither is below."""
     pool = sorted(sentences, key=lambda s: s.text())
     def strictly_below(a, b):
-        return vp_leq(kb, a.vp, b.vp) and not vp_leq(kb, b.vp, a.vp)
+        return phrase_leq(kb, a.vp, b.vp) and not phrase_leq(kb, b.vp, a.vp)
     for cand in pool:
         if not any(other != cand and strictly_below(other, cand) for other in pool):
             return cand
@@ -139,15 +140,11 @@ def generate_dialogue(world: World, root_fact: Sentence) -> list[DialogueTurn]:
     system answer entails the previous system statement.
     """
     kb = world.kb
-    kb.check_sentence(root_fact)
+    kb.check_phrase(root_fact.vp)
     if not _held(world, root_fact):
         raise NotFactual(f"the world does not support {root_fact.text()!r}")
     ground_pool = [
-        known
-        for known, _ in world.claims()
-        if known.subject == root_fact.subject
-        and known.tense.key() == root_fact.tense.key()
-        and _quiet_leq(kb, known.vp, root_fact.vp)
+        known for known, _ in world.claims() if supports(kb, known, root_fact)
     ]
     ground = _most_specific(kb, ground_pool) if ground_pool else root_fact
     consequences = closure(kb, ground)
@@ -167,13 +164,6 @@ def generate_dialogue(world: World, root_fact: Sentence) -> list[DialogueTurn]:
         turns.append(DialogueTurn("user", text, (op, slot)))
         turns.append(DialogueTurn("system", specific.text(), specific))
     return turns
-
-
-def _quiet_leq(kb, a, b) -> bool:
-    try:
-        return vp_leq(kb, a, b)
-    except VplError:
-        return False
 
 
 # -- interactive loop ---------------------------------------------------
@@ -216,19 +206,18 @@ def repl_step(state: ReplState, line: str) -> tuple[ReplState, str]:
         return state, "ERR: lines start with ?, ! or = [parse_error]"
     except (ParseError, ResolutionError, UnknownAtom) as exc:
         return state, f"ERR: {exc} [parse_error]"
-    except VagueTense as exc:
-        return state, f"ERR: {exc} [vague_tense]"
     except Contradiction:
         return state, (
             "ERR: I cannot accept that, it contradicts what I already hold "
             "[contradiction]"
         )
-    except NotFactual as exc:
-        return state, f"ERR: {exc} [not_factual]"
-    except SlotOutOfRange as exc:
-        return state, f"ERR: {exc} [slot_out_of_range]"
     except VplError as exc:
-        return state, f"ERR: {exc} [{type(exc).__name__.lower()}]"
+        return state, f"ERR: {exc} [{_error_code(exc)}]"
+
+
+def _error_code(exc: VplError) -> str:
+    """The snake_case of the error's class name, e.g. ``arity_mismatch``."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
 
 
 def replace_focus(state: ReplState, sentence: Sentence) -> ReplState:

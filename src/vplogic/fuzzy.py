@@ -23,17 +23,6 @@ class NVIso:
 
 
 @dataclass(frozen=True, slots=True)
-class DegreeEntry:
-    """Membership degree of an item in a category, per subject or
-    wildcard ("*"); subject-specific entries shadow the wildcard."""
-
-    subject: str
-    item: str
-    category: str
-    degree: float
-
-
-@dataclass(frozen=True, slots=True)
 class AdverbScale:
     """Descending thresholds partitioning [0, 1] into adverb buckets.
 

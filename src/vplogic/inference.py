@@ -20,7 +20,6 @@ DEFAULT_CAP = 10_000
 VERB_GENERAL = "verb_general"
 NOUN_GENERAL = "noun_general"
 CONTRAPOSITION = "contraposition"
-REFLEXIVE = "reflexive"
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,8 +93,8 @@ def entails(kb, frm: Sentence, to: Sentence) -> bool:
     Requires the same subject and the same tense class; the work happens
     in the phrase order, so negated facts entail downward automatically.
     """
-    kb.check_sentence(frm)
-    kb.check_sentence(to)
+    kb.check_phrase(frm.vp)
+    kb.check_phrase(to.vp)
     if frm.subject != to.subject:
         raise SubjectMismatch(f"subjects differ: {frm.subject!r} vs {to.subject!r}")
     if frm.tense.key() != to.tense.key():
@@ -143,7 +142,7 @@ def closure(kb, fact: Sentence, cap: int = DEFAULT_CAP) -> ClosureResult:
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    kb.check_sentence(fact)
+    kb.check_phrase(fact.vp)
     start = fact.vp
     seen: dict[VerbPhrase, tuple[Step, ...]] = {start: ()}
     queue = deque([start])
@@ -190,8 +189,6 @@ def replay(kb, source: Sentence, derivation: Derivation) -> Sentence:
             if vp.negated or vp.nouns[step.slot] != step.lower:
                 raise NotEntailed(f"step does not apply: {step.premise()}")
             vp = vp.replace(slot=step.slot, noun=step.upper)
-        elif step.rule == REFLEXIVE:
-            pass
         else:
             raise NotEntailed(f"unknown rule: {step.rule!r}")
     return Sentence(source.subject, source.tense, vp)

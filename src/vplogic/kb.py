@@ -10,13 +10,17 @@ from __future__ import annotations
 
 from .errors import ArityMismatch, OutOfRange
 from .order import NOUN, VERB, Preorder, normalize_id
-from .phrase import TOP_NOUN, TOP_VERB, VerbPhrase
+from .phrase import BOTTOM, TOP, TOP_NOUN, TOP_VERB, VerbPhrase
 from .temporal import TimeInterval
 
 DEFAULT_LIFETIME = TimeInterval(0, 100)
 
 
 class KnowledgeBase:
+    # The phrase bounds, the same in every knowledge base.
+    top = TOP
+    bottom = BOTTOM
+
     def __init__(self):
         self.nouns = Preorder(NOUN)
         self.verbs = Preorder(VERB)
@@ -29,37 +33,20 @@ class KnowledgeBase:
         self.nouns.add_atom(TOP_NOUN)
         self.arities[TOP_VERB] = 1
 
-    # -- phrase bounds --------------------------------------------------
-
-    @property
-    def top(self) -> VerbPhrase:
-        return VerbPhrase(TOP_VERB, (TOP_NOUN,))
-
-    @property
-    def bottom(self) -> VerbPhrase:
-        return self.top.negate()
-
     # -- phrase construction and validation ------------------------------
 
     def phrase(self, verb: str, nouns, negated: bool = False) -> VerbPhrase:
         """Build a validated phrase and pin the verb's arity."""
-        verb = self.verbs.atom(normalize_id(verb)).id
-        noun_ids = tuple(self.nouns.atom(normalize_id(n)).id for n in nouns)
-        vp = VerbPhrase(verb, noun_ids, negated)
-        known = self.arities.get(verb)
-        if known is None:
-            self.arities[verb] = vp.arity
-        elif known != vp.arity:
-            raise ArityMismatch(
-                f"verb {verb!r} takes {known} noun slot(s), got {vp.arity}"
-            )
+        vp = VerbPhrase(
+            normalize_id(verb), tuple(normalize_id(n) for n in nouns), negated
+        )
+        self.check_phrase(vp)
+        self.arities.setdefault(vp.verb, vp.arity)
         return vp
 
-    def check_sentence(self, sentence) -> None:
-        """Validate atoms and arity without recording anything."""
-        if not sentence.subject:
-            raise ValueError("sentence needs a subject")
-        vp = sentence.vp
+    def check_phrase(self, vp: VerbPhrase) -> None:
+        """Raise unless every atom is registered and the verb's arity, if
+        pinned, matches.  Records nothing."""
         self.verbs.atom(vp.verb)
         for noun in vp.nouns:
             self.nouns.atom(noun)

@@ -165,8 +165,13 @@ class Preorder:
         if la.negated != lb.negated:
             return False
         if la.negated:
-            return self._reaches(lb.id, la.id)
-        return self._reaches(la.id, lb.id)
+            return self.reaches(lb.id, la.id)
+        return self.reaches(la.id, lb.id)
+
+    def reaches(self, frm: str, to: str) -> bool:
+        """frm <= to for registered positive atom ids, no lookups or checks."""
+        index = self._index
+        return bool(self._closure()[index[frm]] >> index[to] & 1)
 
     def generalizations(self, a) -> set[Literal]:
         """Everything the literal entails upward, itself included."""
@@ -220,10 +225,6 @@ class Preorder:
             reach = reach_closure(len(self._order), edges)
             cache[label] = reach
         return reach
-
-    def _reaches(self, frm: str, to: str, label: str | None = None) -> bool:
-        reach = self._closure(label)
-        return bool(reach[self._index[frm]] >> self._index[to] & 1)
 
     def _up_ids(self, ident: str, label: str | None = None) -> list[str]:
         return self._decode(self._closure(label)[self._index[ident]])

@@ -58,38 +58,48 @@ def vp_negate(vp: VerbPhrase) -> VerbPhrase:
     return vp.negate()
 
 
-def _check_phrase(kb, vp: VerbPhrase) -> None:
-    kb.verbs.atom(vp.verb)
-    for noun in vp.nouns:
-        kb.nouns.atom(noun)
+TOP = VerbPhrase(TOP_VERB, (TOP_NOUN,))
+BOTTOM = TOP.negate()
+
+
+def phrase_leq(kb, a: VerbPhrase, b: VerbPhrase) -> bool:
+    """The product order on phrases already checked against ``kb``.
+
+    The postulated bounds hold at every arity; otherwise mixed polarity
+    and different arities are simply unrelated.
+    """
+    if a == b:
+        return True
+    if not a.negated and b == TOP:
+        return True
+    if b.negated and a == BOTTOM:
+        return True
+    if a.negated != b.negated or a.arity != b.arity:
+        return False
+    if a.negated:
+        a, b = b, a
+    nouns = kb.nouns
+    return kb.verbs.reaches(a.verb, b.verb) and all(
+        nouns.reaches(lo, hi) for lo, hi in zip(a.nouns, b.nouns)
+    )
 
 
 def vp_leq(kb, a: VerbPhrase, b: VerbPhrase) -> bool:
     """Product order on phrases, with the postulated bounds.
 
-    Mixed polarity is never comparable apart from the bound cases, and
-    phrases of different arity only relate through the bounds.
+    Both phrases are checked against ``kb`` first.  Comparing phrases of
+    one polarity but different arity outside the bounds is an error.
     """
-    _check_phrase(kb, a)
-    _check_phrase(kb, b)
-    if a == b:
+    kb.check_phrase(a)
+    kb.check_phrase(b)
+    if phrase_leq(kb, a, b):
         return True
-    if b == kb.top and not a.negated:
-        return True
-    if a == kb.bottom and b.negated:
-        return True
-    if a.negated != b.negated:
-        return False
-    if a.arity != b.arity:
+    if a.negated == b.negated and a.arity != b.arity:
         raise ArityMismatch(
             f"cannot compare {a.text()!r} (arity {a.arity}) "
             f"with {b.text()!r} (arity {b.arity})"
         )
-    if a.negated:
-        a, b = b.core(), a.core()
-    if not kb.verbs.leq(a.verb, b.verb):
-        return False
-    return all(kb.nouns.leq(lo, hi) for lo, hi in zip(a.nouns, b.nouns))
+    return False
 
 
 def _atom_path(preorder, start: str, goal: str) -> list[str] | None:

@@ -19,9 +19,8 @@ from .errors import (
     UnsupportedShape,
     UnsupportedTense,
     VagueTense,
-    VplError,
 )
-from .phrase import VerbPhrase, vp_leq
+from .phrase import VerbPhrase, phrase_leq
 
 if TYPE_CHECKING:
     from .temporal import TimeInterval
@@ -155,15 +154,14 @@ def expr_text(expr: SentenceExpr, top: bool = True) -> str:
 # -- the world ---------------------------------------------------------
 
 
-def _supports(kb, known: Sentence, claim: Sentence) -> bool:
+def supports(kb, known: Sentence, claim: Sentence) -> bool:
     """Does the known sentence entail the claim?  Entailment never crosses
-    subjects or tense classes, and arity clashes just mean "no"."""
-    if known.subject != claim.subject or known.tense.key() != claim.tense.key():
-        return False
-    try:
-        return vp_leq(kb, known.vp, claim.vp)
-    except VplError:
-        return False
+    subjects or tense classes; both sentences must already be checked."""
+    return (
+        known.subject == claim.subject
+        and known.tense == claim.tense
+        and phrase_leq(kb, known.vp, claim.vp)
+    )
 
 
 class World:
@@ -176,22 +174,18 @@ class World:
 
     def __init__(self, kb):
         self.kb = kb
-        self._facts: dict[tuple, tuple[Sentence, str]] = {}
-
-    @staticmethod
-    def _key(s: Sentence) -> tuple:
-        return (s.subject, s.tense.key(), s.vp)
+        self._facts: dict[Sentence, str] = {}
 
     def facts(self) -> tuple[tuple[Sentence, str], ...]:
-        return tuple(self._facts.values())
+        return tuple(self._facts.items())
 
     def subjects(self) -> tuple[str, ...]:
-        return tuple(sorted({s.subject for s, _ in self._facts.values()}))
+        return tuple(sorted({s.subject for s in self._facts}))
 
     def claims(self):
         """Stored facts normalized to "this sentence holds" form, paired
         with their class (factual or plan)."""
-        for stored, status in self._facts.values():
+        for stored, status in self._facts.items():
             if status == NOT_FACTUAL:
                 yield stored.negate(), FACTUAL
             else:
@@ -200,7 +194,7 @@ class World:
     def assert_fact(self, sentence: Sentence, status: str = FACTUAL) -> World:
         if status not in (FACTUAL, NOT_FACTUAL):
             raise ValueError(f"assertable status must be factual/not_factual, got {status!r}")
-        self.kb.check_sentence(sentence)
+        self.kb.check_phrase(sentence.vp)
         if sentence.tense.vague:
             raise VagueTense(
                 f"{sentence.text()!r}: plain past needs a timeframe to carry factual status"
@@ -218,18 +212,19 @@ class World:
                 f"cannot record {sentence.text()!r} as {status}: "
                 "the opposite is already entailed"
             )
-        self._facts[self._key(sentence)] = (sentence, status)
+        self._facts[sentence] = status
         return self
 
     def status_of(self, sentence: Sentence) -> str:
         """Atom-level status under the entailment closure of the facts."""
-        self.kb.check_sentence(sentence)
+        kb = self.kb
+        kb.check_phrase(sentence.vp)
         negated = sentence.negate()
         supported = None
         for known, klass in self.claims():
-            if _supports(self.kb, known, negated):
+            if supports(kb, known, negated):
                 return NOT_FACTUAL
-            if supported is None and _supports(self.kb, known, sentence):
+            if supported is None and supports(kb, known, sentence):
                 supported = klass
         return supported if supported is not None else UNKNOWN
 

@@ -17,10 +17,9 @@ from .errors import (
     NotEntailed,
     SubjectMismatch,
     UnsupportedTense,
-    VplError,
 )
 from .order import WAY_OF
-from .phrase import VerbPhrase, vp_leq
+from .phrase import VerbPhrase, phrase_leq
 from .sentence import FUTURE, PAST, PAST_PERFECT, Leaf, Or, Sentence, Tense
 
 EXISTS = "exists"
@@ -133,12 +132,11 @@ def temporal_entails(kb, a: TemporalStatement, b: TemporalStatement,
     both along the phrase order.  Mixed quantifiers are only granted when
     ``allow_forall_to_exists`` is set and the intervals overlap.
     """
+    kb.check_phrase(a.vp)
+    kb.check_phrase(b.vp)
     if a.subject != b.subject:
         raise SubjectMismatch(f"subjects differ: {a.subject!r} vs {b.subject!r}")
-    try:
-        phrases_ok = vp_leq(kb, a.vp, b.vp)
-    except VplError:
-        phrases_ok = False
+    phrases_ok = phrase_leq(kb, a.vp, b.vp)
     if a.quantifier == EXISTS and b.quantifier == EXISTS:
         return b.interval.contains(a.interval) and phrases_ok
     if a.quantifier == FORALL and b.quantifier == FORALL:

@@ -2,8 +2,9 @@
 
 Nothing here reuses the engine's order machinery: atom reachability is
 per-node depth-first search, the phrase order is reachability over the
-explicitly built product graph, and temporal entailment is countermodel
-search over discrete time points.
+explicitly built product graph, fact status is a linear scan over that
+graph, and temporal entailment is countermodel search over discrete time
+points.
 """
 
 import itertools
@@ -62,7 +63,8 @@ class ProductOracle:
 
     Nodes are every (polarity, verb, noun-slots) combination over the
     kb's atoms at one arity; edges generalize a single component along a
-    declared edge, reversed for negated nodes.  The designated bounds
+    declared edge, reversed for negated nodes, and never leave the arity
+    (a verb edge to a verb of another arity yields no phrase).  The designated bounds
     are postulates of the order, so ``leq`` grants them on top of plain
     graph reachability; ``upset`` deliberately leaves them out, matching
     what slot-wise generalization can reach.
@@ -101,6 +103,9 @@ class ProductOracle:
                     for upper in kb.nouns.direct_uppers(noun):
                         succ.append(vp.replace(slot=slot, noun=upper))
             self._succ[vp] = succ
+        universe = set(self.universe)
+        for vp, succ in self._succ.items():
+            succ[:] = [nxt for nxt in succ if nxt in universe]
         self._reach = {}
 
     def reach(self, vp):
@@ -131,6 +136,38 @@ class ProductOracle:
     def upset(self, vp):
         """Everything strictly above by edge reachability alone."""
         return set(self.reach(vp)) - {vp}
+
+
+class StatusScan:
+    """Reference for ``World.status_of``: a linear scan of stored facts.
+
+    A stored fact supports a sentence when subject and tense are equal
+    and the product graph of the phrase's arity (one ``ProductOracle``
+    each) puts its phrase below.  A not_factual fact claims its negation.
+    Build it once the kb's atoms and verb arities are final.
+    """
+
+    def __init__(self, kb, arities=(1,)):
+        self.oracles = {n: ProductOracle(kb, n) for n in arities}
+
+    def _supports(self, known, claim):
+        if known.subject != claim.subject or known.tense != claim.tense:
+            return False
+        return self.oracles[known.vp.arity].leq(known.vp, claim.vp)
+
+    def status(self, facts, sentence):
+        """Status of ``sentence`` given ``(sentence, status)`` pairs."""
+        claims = [
+            (stored.negate(), "factual") if status == "not_factual" else (stored, status)
+            for stored, status in facts
+        ]
+        negated = sentence.negate()
+        if any(self._supports(known, negated) for known, _ in claims):
+            return "not_factual"
+        for known, status in claims:
+            if self._supports(known, sentence):
+                return status
+        return "unknown"
 
 
 def _constraint(stmt, negate=False):

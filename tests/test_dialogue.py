@@ -106,6 +106,22 @@ def test_generate_dialogue_single_turn():
     assert len(turns) == 1 and turns[0].payload == fact
 
 
+def test_generate_dialogue_over_mixed_arities():
+    # Ground facts of different arity are incomparable, not an error.
+    kb = make_kb(
+        noun_edges=[("potato", "vegetable"), ("tokyo", "japan", "part_of")],
+        verb_edges=[("bake", "cook"), ("fly", "travel")],
+    )
+    world = World(kb)
+    world.assert_fact(sentence(kb, "i past_perfect bake*potato"))
+    world.assert_fact(sentence(kb, "i past_perfect fly*tokyo*japan"))
+    turns = generate_dialogue(world, sentence(kb, "i past_perfect do*something"))
+    assert turns[-1].text == "i past_perfect bake*potato"
+    system = [t.payload for t in turns if t.speaker == "system"]
+    for general, specific in zip(system, system[1:]):
+        assert entails(kb, specific, general)
+
+
 def test_generate_dialogue_script_length_matches_chain(housing):
     kb, world = housing
     root = sentence(kb, "i future buy*house*california")
@@ -153,6 +169,29 @@ def test_repl_errors_leave_state_alone(housing):
     assert "[no_focus]" in out
     state, out = repl_step(state, "! i past bake*potato")
     assert out.startswith("ERR:")
+
+
+@pytest.mark.parametrize(
+    "lines, code",
+    [
+        (["nonsense"], "parse_error"),
+        (["! i past_perfect buy*unicorn*california"], "parse_error"),
+        (["! i past_perfect buy*house"], "arity_mismatch"),
+        (["! i past buy*house*california"], "vague_tense"),
+        (["! i future not own*property*us"], "contradiction"),
+        (["? how"], "no_focus"),
+        (["= i past_perfect own*house*us", "? how"], "not_factual"),
+        (["= i future buy*house*california", "? which_kind 2"], "slot_out_of_range"),
+    ],
+)
+def test_repl_error_codes(housing, lines, code):
+    # Every code is the snake_case of the error's class name, apart from
+    # the parse_error group.
+    kb, world = housing
+    state = ReplState(world)
+    for line in lines:
+        state, out = repl_step(state, line)
+    assert out.startswith("ERR: ") and out.endswith(f"[{code}]")
 
 
 def test_repl_is_deterministic(housing):

@@ -25,7 +25,7 @@ from vplogic.errors import Contradiction, UnsupportedShape, UnsupportedTense, Va
 from vplogic.sentence import FUTURE, PAST, PAST_PERFECT, PRESENT_CONTINUOUS
 from vplogic.temporal import TimeInterval
 
-from oracles import make_kb
+from oracles import StatusScan, make_kb
 
 
 @pytest.fixture
@@ -311,3 +311,60 @@ def test_check_laws_zero_violations_on_random_worlds(picks):
     vps = {kb.phrase("v0", [n]) for n in nouns} | {kb.phrase("v1", [n]) for n in nouns}
     report = check_laws(w, {"i"}, vps)
     assert not report.violations
+
+
+_SCAN_ARITY = {"do": 1, "u": 1, "v": 1, "w": 2, "x": 2}
+_SCAN_NOUNS = ("a", "b", "c", "something")
+# Edges across arities relate no phrases; the bounds still hold there.
+_SCAN_VERB_EDGES = (("u", "v"), ("v", "u"), ("u", "do"), ("w", "x"), ("x", "w"), ("u", "w"))
+_phrases = st.one_of(
+    st.tuples(st.just("do"), st.just(["something"]), st.booleans()),
+    st.sampled_from(sorted(_SCAN_ARITY)).flatmap(
+        lambda verb: st.tuples(
+            st.just(verb),
+            st.lists(st.sampled_from(_SCAN_NOUNS), min_size=_SCAN_ARITY[verb],
+                     max_size=_SCAN_ARITY[verb]),
+            st.booleans(),
+        )
+    ),
+)
+
+
+@given(
+    verb_edges=st.lists(st.sampled_from(_SCAN_VERB_EDGES), max_size=3),
+    noun_edges=st.lists(
+        st.tuples(st.sampled_from(_SCAN_NOUNS), st.sampled_from(_SCAN_NOUNS)).filter(
+            lambda e: e[0] != e[1]
+        ),
+        max_size=4,
+    ),
+    facts=st.lists(
+        st.tuples(
+            st.sampled_from(("i", "you")),
+            st.sampled_from((PAST_PERFECT, FUTURE)),
+            _phrases,
+            st.sampled_from((FACTUAL, NOT_FACTUAL)),
+        ),
+        max_size=8,
+    ),
+)
+@settings(max_examples=100)
+def test_status_of_matches_reference_scan(verb_edges, noun_edges, facts):
+    kb = make_kb(noun_edges, verb_edges, nouns=_SCAN_NOUNS, verbs=sorted(_SCAN_ARITY))
+    for verb, arity in _SCAN_ARITY.items():
+        kb.phrase(verb, ["a"] * arity)
+    w = World(kb)
+    for subject, form, (verb, nouns, negated), status in facts:
+        try:
+            w.assert_fact(Sentence(subject, Tense(form), kb.phrase(verb, nouns, negated)), status)
+        except Contradiction:
+            pass
+    scan = StatusScan(kb, arities=(1, 2))
+    stored = w.facts()
+    phrases = [vp for oracle in scan.oracles.values() for vp in oracle.universe]
+    assert kb.top in phrases and kb.bottom in phrases
+    for subject in ("i", "you"):
+        for form in (PAST_PERFECT, FUTURE):
+            for vp in phrases:
+                query = Sentence(subject, Tense(form), vp)
+                assert w.status_of(query) == scan.status(stored, query), query

@@ -11,6 +11,7 @@ from vplogic import (
     TemporalStatement,
     Tense,
     TimeInterval,
+    VerbPhrase,
     expr_text,
     inverse_render,
     negate_quantified,
@@ -22,6 +23,7 @@ from vplogic.errors import (
     IntervalOutOfLifetime,
     NonCanonicalForm,
     SubjectMismatch,
+    UnknownAtom,
     UnsupportedTense,
 )
 from vplogic.sentence import FUTURE, PAST, PAST_PERFECT
@@ -162,6 +164,17 @@ def test_temporal_entails_subject_mismatch(kb):
     b = TemporalStatement(EXISTS, LIFETIME, "you", kb.phrase("own", ["computer"]))
     with pytest.raises(SubjectMismatch):
         temporal_entails(kb, a, b)
+
+
+def test_temporal_entails_rejects_unknown_atoms(kb):
+    # Same answer as vp_leq and entails on an undeclared atom, even for
+    # a statement against itself.
+    a = TemporalStatement(EXISTS, LIFETIME, "i", VerbPhrase("swim", ("computer",)))
+    b = TemporalStatement(EXISTS, LIFETIME, "i", VerbPhrase("own", ("sea",)))
+    known = TemporalStatement(EXISTS, LIFETIME, "i", kb.phrase("own", ["computer"]))
+    for x, y in ((a, a), (a, known), (known, b)):
+        with pytest.raises(UnknownAtom):
+            temporal_entails(kb, x, y)
 
 
 def _random_statement(rng, oracle, quantifier=None):
