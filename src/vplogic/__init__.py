@@ -45,10 +45,11 @@ from .inference import (
     implication_to_disjunction,
     propagate_conditional,
     replay,
+    vp_chain,
 )
 from .kb import KnowledgeBase
 from .order import Atom, Literal, Preorder
-from .phrase import VerbPhrase, vp_chain, vp_leq, vp_negate
+from .phrase import VerbPhrase, vp_leq
 from .sentence import (
     FACTUAL,
     FUTURE,

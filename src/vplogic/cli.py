@@ -287,12 +287,11 @@ def _cmd_laws(args, kb, world, emitter, cap) -> int:
         tense = stored.tense
         if tense.form == FUTURE or tense.vague:
             continue
-        key = tense.key()
-        grp = groups.setdefault(key, (tense, set(), set()))
-        grp[1].add(stored.subject)
-        grp[2].add(stored.vp.core())
+        subjects, vps = groups.setdefault(tense, (set(), set()))
+        subjects.add(stored.subject)
+        vps.add(stored.vp.core())
     verified, indeterminate, violations = [], [], []
-    for tense, subjects, vps in groups.values():
+    for tense, (subjects, vps) in groups.items():
         report = check_laws(world, subjects, vps, tense)
         verified.extend(report.verified)
         indeterminate.extend(report.indeterminate)

@@ -21,9 +21,9 @@ from .errors import (
     VplError,
 )
 from . import dsl
-from .inference import closure
+from .inference import apply_step, closure
 from .order import KIND_OF, PART_OF, Literal
-from .phrase import phrase_leq, vp_chain
+from .phrase import phrase_leq
 from .sentence import FACTUAL, PLAN, Leaf, Sentence, World, supports
 
 HOW = "how"
@@ -119,20 +119,6 @@ def _most_specific(kb, sentences) -> Sentence:
     return pool[0]
 
 
-def _question_for(kb, general: Sentence, specific: Sentence):
-    """Which operator turns the general statement into the specific one."""
-    g, s = general.vp, specific.vp
-    if g.verb != s.verb:
-        return (HOW, None, "how?")
-    for slot, (hi, lo) in enumerate(zip(g.nouns, s.nouns)):
-        if hi != lo:
-            labels = sorted(kb.nouns.labels_between(lo, hi))
-            label = labels[0] if labels else KIND_OF
-            op = WHICH_PART if label == PART_OF else WHICH_KIND
-            return (op, slot, f"{op.replace('_', ' ')} of {hi}?")
-    raise VplError("consecutive dialogue statements do not differ")
-
-
 def generate_dialogue(world: World, root_fact: Sentence) -> list[DialogueTurn]:
     """Script from the most general consequence down to the ground fact.
 
@@ -153,15 +139,19 @@ def generate_dialogue(world: World, root_fact: Sentence) -> list[DialogueTurn]:
     deepest = max(
         consequences,
         key=lambda d: (len(d.steps), d.conclusion.text()),
-    ).conclusion
-    chain = vp_chain(kb, ground.vp, deepest.vp) or [ground.vp]
-    statements = [
-        Sentence(ground.subject, ground.tense, vp) for vp in reversed(chain)
-    ]
+    )
+    vps = [ground.vp]
+    for step in deepest.steps:
+        vps.append(apply_step(vps[-1], step))
+    statements = [Sentence(ground.subject, ground.tense, vp) for vp in reversed(vps)]
     turns = [DialogueTurn("system", statements[0].text(), statements[0])]
-    for general, specific in zip(statements, statements[1:]):
-        op, slot, text = _question_for(kb, general, specific)
-        turns.append(DialogueTurn("user", text, (op, slot)))
+    for step, general, specific in zip(reversed(deepest.steps), statements, statements[1:]):
+        if step.slot is None:
+            op, text = HOW, "how?"
+        else:
+            op = WHICH_PART if step.label == PART_OF else WHICH_KIND
+            text = f"{op.replace('_', ' ')} of {general.vp.nouns[step.slot]}?"
+        turns.append(DialogueTurn("user", text, (op, step.slot)))
         turns.append(DialogueTurn("system", specific.text(), specific))
     return turns
 
@@ -196,12 +186,12 @@ def repl_step(state: ReplState, line: str) -> tuple[ReplState, str]:
         if head == "!":
             sentence = dsl.sentence(state.world.kb, rest)
             state.world.assert_fact(sentence)
-            return replace_focus(state, sentence), "A: noted"
+            return replace(state, focus=sentence), "A: noted"
         if head == "=":
             expr = dsl.parse_expr(rest, state.world.kb)
             value = state.world.eval(expr)
             if isinstance(expr, Leaf):
-                state = replace_focus(state, expr.sentence)
+                state = replace(state, focus=expr.sentence)
             return state, f"A: {value}"
         return state, "ERR: lines start with ?, ! or = [parse_error]"
     except (ParseError, ResolutionError, UnknownAtom) as exc:
@@ -218,10 +208,6 @@ def repl_step(state: ReplState, line: str) -> tuple[ReplState, str]:
 def _error_code(exc: VplError) -> str:
     """The snake_case of the error's class name, e.g. ``arity_mismatch``."""
     return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
-
-
-def replace_focus(state: ReplState, sentence: Sentence) -> ReplState:
-    return replace(state, focus=sentence)
 
 
 def _repl_question(state: ReplState, rest: str) -> tuple[ReplState, str]:
@@ -243,4 +229,4 @@ def _repl_question(state: ReplState, rest: str) -> tuple[ReplState, str]:
     if not result:
         return state, "A: no refinement"
     best = _most_specific(state.world.kb, result.answers)
-    return replace_focus(state, best), f"A: {best.text()}"
+    return replace(state, focus=best), f"A: {best.text()}"

@@ -3,16 +3,19 @@
 A positive fact entails everything reachable by generalizing its verb or
 any noun slot along declared edges; a negated fact entails the negations
 of everything reachable downward (contraposition).  Closures carry
-replayable derivations and come back in a deterministic order.
+replayable derivations and come back in a deterministic order; one
+breadth-first search yields them, and ``vp_chain`` takes the same steps
+between two phrases.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import NotEntailed, SubjectMismatch, TenseMismatch
-from .phrase import VerbPhrase, vp_leq
+from .phrase import BOTTOM, TOP, VerbPhrase, phrase_leq, vp_leq
 from .sentence import Leaf, Or, Sentence, SentenceExpr
 
 DEFAULT_CAP = 10_000
@@ -20,6 +23,7 @@ DEFAULT_CAP = 10_000
 VERB_GENERAL = "verb_general"
 NOUN_GENERAL = "noun_general"
 CONTRAPOSITION = "contraposition"
+BOUND = "bound"
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,7 +45,10 @@ class Step:
     """One derivation step: the declared edge used and how it was applied.
 
     ``slot`` is None for verb steps.  ``contraposition`` steps move a
-    negated phrase's core downward along the edge.
+    negated phrase's core downward along the edge.  A ``bound`` step
+    records two whole phrases, ordered only by a postulated bound
+    (``do*something`` above, its negation below); ``closure`` never
+    takes one.
     """
 
     rule: str
@@ -97,7 +104,7 @@ def entails(kb, frm: Sentence, to: Sentence) -> bool:
     kb.check_phrase(to.vp)
     if frm.subject != to.subject:
         raise SubjectMismatch(f"subjects differ: {frm.subject!r} vs {to.subject!r}")
-    if frm.tense.key() != to.tense.key():
+    if frm.tense != to.tense:
         raise TenseMismatch(
             f"tense classes differ: {frm.tense.text()!r} vs {to.tense.text()!r}"
         )
@@ -131,6 +138,26 @@ def _edge_steps(kb, vp: VerbPhrase):
                 )
 
 
+def _search(kb, start: VerbPhrase, keep=None):
+    """Breadth-first walk from ``start`` along single edge steps.
+
+    Yields each phrase reached, start excluded, with its shortest step
+    tuple, in discovery order.  ``keep`` prunes the phrases not worth
+    entering.
+    """
+    seen: dict[VerbPhrase, tuple[Step, ...]] = {start: ()}
+    queue = deque([start])
+    while queue:
+        vp = queue.popleft()
+        steps = seen[vp]
+        for step, nxt in _edge_steps(kb, vp):
+            if nxt in seen or (keep is not None and not keep(nxt)):
+                continue
+            seen[nxt] = path = steps + (step,)
+            yield nxt, path
+            queue.append(nxt)
+
+
 def closure(kb, fact: Sentence, cap: int = DEFAULT_CAP) -> ClosureResult:
     """Every sentence strictly entailed by the fact, with derivations.
 
@@ -143,54 +170,67 @@ def closure(kb, fact: Sentence, cap: int = DEFAULT_CAP) -> ClosureResult:
     if cap <= 0:
         raise ValueError("cap must be positive")
     kb.check_phrase(fact.vp)
-    start = fact.vp
-    seen: dict[VerbPhrase, tuple[Step, ...]] = {start: ()}
-    queue = deque([start])
-    found: list[VerbPhrase] = []
-    truncated = False
-    while queue and not truncated:
-        vp = queue.popleft()
-        for step, nxt in _edge_steps(kb, vp):
-            if nxt in seen:
-                continue
-            if len(found) >= cap:
-                truncated = True
-                break
-            seen[nxt] = seen[vp] + (step,)
-            found.append(nxt)
-            queue.append(nxt)
+    found = list(islice(_search(kb, fact.vp), cap + 1))
+    truncated = len(found) > cap
     derivations = [
-        Derivation(Sentence(fact.subject, fact.tense, vp), seen[vp]) for vp in found
+        Derivation(Sentence(fact.subject, fact.tense, vp), steps) for vp, steps in found[:cap]
     ]
     derivations.sort(key=lambda d: (len(d.steps), d.conclusion.vp.verb, d.conclusion.vp.nouns))
     return ClosureResult(tuple(derivations), truncated)
+
+
+def vp_chain(kb, a: VerbPhrase, b: VerbPhrase) -> tuple[Step, ...] | None:
+    """A shortest witness that ``a`` lies below ``b``, as steps.
+
+    The steps are the ones ``closure`` derives from ``a``; a pair ordered
+    only by a postulated bound takes one ``bound`` step.  ``()`` when the
+    phrases are equal, ``None`` when they are not ordered.
+    """
+    if not vp_leq(kb, a, b):
+        return None
+    if a == b:
+        return ()
+    for vp, steps in _search(kb, a, lambda vp: phrase_leq(kb, vp, b)):
+        if vp == b:
+            return steps
+    return (Step(BOUND, a.text(), b.text(), BOUND),)
+
+
+def apply_step(vp: VerbPhrase, step: Step) -> VerbPhrase:
+    """The phrase one step leads to from ``vp``; ``NotEntailed`` when the
+    step does not apply there."""
+    if step.rule == BOUND:
+        negated = step.upper.startswith("not ")
+        verb, *nouns = step.upper.removeprefix("not ").split("*")
+        upper = VerbPhrase(verb, tuple(nouns), negated)
+        bounded = (upper == TOP and not vp.negated) or (vp == BOTTOM and upper.negated)
+        if vp.text() != step.lower or not bounded:
+            raise NotEntailed(f"step does not apply: {step.premise()}")
+        return upper
+    if step.rule == CONTRAPOSITION:
+        if not vp.negated:
+            raise NotEntailed("contraposition step on a positive phrase")
+        frm, to = step.upper, step.lower
+    elif step.rule in (VERB_GENERAL, NOUN_GENERAL):
+        if vp.negated:
+            raise NotEntailed(f"step does not apply: {step.premise()}")
+        frm, to = step.lower, step.upper
+    else:
+        raise NotEntailed(f"unknown rule: {step.rule!r}")
+    if step.slot is None:
+        if vp.verb != frm:
+            raise NotEntailed(f"step does not apply: {step.premise()}")
+        return vp.replace(verb=to)
+    if vp.nouns[step.slot] != frm:
+        raise NotEntailed(f"step does not apply: {step.premise()}")
+    return vp.replace(slot=step.slot, noun=to)
 
 
 def replay(kb, source: Sentence, derivation: Derivation) -> Sentence:
     """Re-run a derivation's steps from the source fact."""
     vp = source.vp
     for step in derivation.steps:
-        if step.rule == CONTRAPOSITION:
-            if not vp.negated:
-                raise NotEntailed("contraposition step on a positive phrase")
-            if step.slot is None:
-                if vp.verb != step.upper:
-                    raise NotEntailed(f"step does not apply: {step.premise()}")
-                vp = vp.replace(verb=step.lower)
-            else:
-                if vp.nouns[step.slot] != step.upper:
-                    raise NotEntailed(f"step does not apply: {step.premise()}")
-                vp = vp.replace(slot=step.slot, noun=step.lower)
-        elif step.rule == VERB_GENERAL:
-            if vp.negated or vp.verb != step.lower:
-                raise NotEntailed(f"step does not apply: {step.premise()}")
-            vp = vp.replace(verb=step.upper)
-        elif step.rule == NOUN_GENERAL:
-            if vp.negated or vp.nouns[step.slot] != step.lower:
-                raise NotEntailed(f"step does not apply: {step.premise()}")
-            vp = vp.replace(slot=step.slot, noun=step.upper)
-        else:
-            raise NotEntailed(f"unknown rule: {step.rule!r}")
+        vp = apply_step(vp, step)
     return Sentence(source.subject, source.tense, vp)
 
 

@@ -54,10 +54,6 @@ class VerbPhrase:
         return ("not " + body) if self.negated else body
 
 
-def vp_negate(vp: VerbPhrase) -> VerbPhrase:
-    return vp.negate()
-
-
 TOP = VerbPhrase(TOP_VERB, (TOP_NOUN,))
 BOTTOM = TOP.negate()
 
@@ -100,60 +96,3 @@ def vp_leq(kb, a: VerbPhrase, b: VerbPhrase) -> bool:
             f"with {b.text()!r} (arity {b.arity})"
         )
     return False
-
-
-def _atom_path(preorder, start: str, goal: str) -> list[str] | None:
-    """Shortest declared-edge path start -> goal, deterministic tie-break."""
-    if start == goal:
-        return [start]
-    parents: dict[str, str] = {start: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for upper in preorder.direct_uppers(node):
-                if upper in parents:
-                    continue
-                parents[upper] = node
-                if upper == goal:
-                    path = [goal]
-                    while path[-1] != start:
-                        path.append(parents[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(upper)
-        frontier = nxt
-    return None
-
-
-def vp_chain(kb, a: VerbPhrase, b: VerbPhrase) -> list[VerbPhrase] | None:
-    """A witness chain of single-edge generalization steps from a to b.
-
-    Verb steps come first, then each noun slot in order; adjacent chain
-    elements always satisfy ``vp_leq``.  ``None`` signals non-entailment.
-    """
-    if not vp_leq(kb, a, b):
-        return None
-    if a == b:
-        return [a]
-    if a.negated:
-        core_chain = vp_chain(kb, b.core(), a.core())
-        if core_chain is None:
-            return None
-        return [vp.negate() for vp in reversed(core_chain)]
-    verb_path = _atom_path(kb.verbs, a.verb, b.verb)
-    noun_paths = (
-        [_atom_path(kb.nouns, lo, hi) for lo, hi in zip(a.nouns, b.nouns)]
-        if a.arity == b.arity
-        else None
-    )
-    if verb_path is None or noun_paths is None or any(p is None for p in noun_paths):
-        # Only reachable through the postulated bound, not through edges.
-        return [a, b]
-    chain = [a]
-    for verb in verb_path[1:]:
-        chain.append(chain[-1].replace(verb=verb))
-    for slot, path in enumerate(noun_paths):
-        for noun in path[1:]:
-            chain.append(chain[-1].replace(slot=slot, noun=noun))
-    return chain

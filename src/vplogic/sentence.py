@@ -58,9 +58,6 @@ class Tense:
     def vague(self) -> bool:
         return self.form == PAST and self.timeframe is None
 
-    def key(self):
-        return (self.form, self.timeframe)
-
     def text(self) -> str:
         return self.form
 

@@ -109,18 +109,24 @@ class ProductOracle:
         self._reach = {}
 
     def reach(self, vp):
+        """Shortest edge distance from ``vp`` to each phrase it reaches.
+        A phrase outside this arity's graph reaches only itself."""
         cached = self._reach.get(vp)
         if cached is None:
-            seen = {vp}
+            cached = {vp: 0}
             queue = deque([vp])
             while queue:
-                for nxt in self._succ[queue.popleft()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
+                node = queue.popleft()
+                for nxt in self._succ.get(node, ()):
+                    if nxt not in cached:
+                        cached[nxt] = cached[node] + 1
                         queue.append(nxt)
-            cached = frozenset(seen)
             self._reach[vp] = cached
         return cached
+
+    def distance(self, a, b):
+        """Edges on a shortest product-graph path from a to b, or None."""
+        return self.reach(a).get(b)
 
     def leq(self, a, b):
         if a == b:

@@ -600,15 +600,15 @@ def test_criterion_8_contradiction_rejection():
         kb, verbs, nouns = _random_small_kb(rng)
         oracle = ProductOracle(kb)
         world = World(kb)
-        accepted = []  # claims known to hold, as (tense-key, vp)
+        accepted = []  # claims known to hold, as (tense, vp)
         for _ in range(rng.randint(3, 12)):
             form = rng.choice((PAST_PERFECT, FUTURE, "present_continuous"))
             s = Sentence("i", Tense(form), rng.choice(oracle.universe))
             status = rng.choice((FACTUAL, NOT_FACTUAL))
             claim = s if status == FACTUAL else s.negate()
             forced_opposite = any(
-                key == claim.tense.key() and oracle.leq(vp, claim.vp.negate())
-                for key, vp in accepted
+                tense == claim.tense and oracle.leq(vp, claim.vp.negate())
+                for tense, vp in accepted
             )
             try:
                 world.assert_fact(s, status)
@@ -617,7 +617,7 @@ def test_criterion_8_contradiction_rejection():
                 rejected = True
             assert rejected == forced_opposite, (s.text(), status)
             if not rejected:
-                accepted.append((claim.tense.key(), claim.vp))
+                accepted.append((claim.tense, claim.vp))
         # The audit over everything mentioned never finds a violation.
         report = check_laws(
             world, {"i"}, {vp.core() for _, vp in accepted} or {kb.top}

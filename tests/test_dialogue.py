@@ -122,6 +122,31 @@ def test_generate_dialogue_over_mixed_arities():
         assert entails(kb, specific, general)
 
 
+def test_generate_dialogue_on_a_negated_fact():
+    # Each question is read off the closure step it undoes: moving a
+    # denial from tokyo to japan follows a part_of edge, so the question
+    # is which_part, and the world answers it with the next statement.
+    kb = make_kb(
+        noun_edges=[("tokyo", "japan", "part_of")],
+        verb_edges=[("fly", "travel")],
+    )
+    world = World(kb)
+    fact = sentence(kb, "i past_perfect not travel*japan")
+    world.assert_fact(fact)
+    turns = generate_dialogue(world, fact)
+    assert [(t.text, t.payload if t.speaker == "user" else None) for t in turns] == [
+        ("i past_perfect not fly*tokyo", None),
+        ("which part of tokyo?", (WHICH_PART, 0)),
+        ("i past_perfect not fly*japan", None),
+        ("how?", (HOW, None)),
+        ("i past_perfect not travel*japan", None),
+    ]
+    for general, question, specific in zip(turns[::2], turns[1::2], turns[2::2]):
+        op, slot = question.payload
+        answers = apply_question(world, op, general.payload, slot).answers
+        assert specific.payload in answers
+
+
 def test_generate_dialogue_script_length_matches_chain(housing):
     kb, world = housing
     root = sentence(kb, "i future buy*house*california")

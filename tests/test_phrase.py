@@ -2,8 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vplogic import VerbPhrase, vp_chain, vp_leq, vp_negate
+from vplogic import Sentence, Step, Tense, VerbPhrase, closure, vp_chain, vp_leq
 from vplogic.errors import ArityMismatch, UnknownAtom
+from vplogic.inference import (
+    BOUND,
+    CONTRAPOSITION,
+    NOUN_GENERAL,
+    VERB_GENERAL,
+    apply_step,
+)
+from vplogic.sentence import PAST_PERFECT
 
 from oracles import ProductOracle, make_kb
 
@@ -26,13 +34,13 @@ def kitchen_kb():
 
 def test_negate_flips_flag_and_is_involutive(kitchen_kb):
     vp = kitchen_kb.phrase("buy", ["hybrid_car"])
-    assert vp_negate(vp).negated
-    assert vp_negate(vp_negate(vp)) == vp
+    assert vp.negate().negated
+    assert vp.negate().negate() == vp
 
 
 def test_negate_two_slots(travel_kb):
     vp = travel_kb.phrase("fly", ["tokyo", "la"])
-    assert vp_negate(vp) == VerbPhrase("fly", ("tokyo", "la"), True)
+    assert vp.negate() == VerbPhrase("fly", ("tokyo", "la"), True)
 
 
 def test_leq_componentwise(travel_kb):
@@ -98,17 +106,31 @@ def test_bounds_ignore_arity(travel_kb):
     assert vp_leq(travel_kb, travel_kb.bottom, two_slots.negate())
 
 
+def walk(a, steps):
+    """Every phrase the steps pass through, from ``a`` on."""
+    chain = [a]
+    for step in steps:
+        chain.append(apply_step(chain[-1], step))
+    return chain
+
+
 def test_chain_simple(kitchen_kb):
     a = kitchen_kb.phrase("bake", ["potato"])
     b = kitchen_kb.phrase("cook", ["vegetable"])
-    chain = vp_chain(kitchen_kb, a, b)
+    steps = vp_chain(kitchen_kb, a, b)
+    assert steps == (
+        Step(VERB_GENERAL, "bake", "cook", "way_of"),
+        Step(NOUN_GENERAL, "potato", "vegetable", "kind_of", 0),
+    )
+    chain = walk(a, steps)
     assert chain[0] == a and chain[-1] == b
     assert all(vp_leq(kitchen_kb, x, y) for x, y in zip(chain, chain[1:]))
 
 
 def test_chain_trivial_and_absent(kitchen_kb):
     vp = kitchen_kb.phrase("bake", ["potato"])
-    assert vp_chain(kitchen_kb, vp, vp) == [vp]
+    assert vp_chain(kitchen_kb, vp, vp) == ()
+    assert walk(vp, ()) == [vp]
     assert vp_chain(kitchen_kb, kitchen_kb.phrase("cook", ["vegetable"]), vp) is None
 
 
@@ -117,22 +139,27 @@ def test_chain_interleaving(travel_kb):
     travel_kb.verbs.declare("walk", "travel", "way_of")
     a = travel_kb.phrase("walk", ["tokyo"])
     b = travel_kb.phrase("travel", ["japan"])
-    chain = vp_chain(travel_kb, a, b)
+    chain = walk(a, vp_chain(travel_kb, a, b))
     assert len(chain) == 3
+    assert chain[0] == a and chain[-1] == b
     assert all(vp_leq(travel_kb, x, y) for x, y in zip(chain, chain[1:]))
 
 
 def test_chain_negated(kitchen_kb):
     a = kitchen_kb.phrase("own", ["car"], negated=True)
     b = kitchen_kb.phrase("buy", ["hybrid_car"], negated=True)
-    chain = vp_chain(kitchen_kb, a, b)
+    steps = vp_chain(kitchen_kb, a, b)
+    assert [step.rule for step in steps] == [CONTRAPOSITION, CONTRAPOSITION]
+    chain = walk(a, steps)
     assert chain[0] == a and chain[-1] == b
     assert all(vp_leq(kitchen_kb, x, y) for x, y in zip(chain, chain[1:]))
 
 
 def test_chain_to_top_jumps(kitchen_kb):
     vp = kitchen_kb.phrase("bake", ["potato"])
-    assert vp_chain(kitchen_kb, vp, kitchen_kb.top) == [vp, kitchen_kb.top]
+    steps = vp_chain(kitchen_kb, vp, kitchen_kb.top)
+    assert steps == (Step(BOUND, "bake*potato", "do*something", BOUND),)
+    assert walk(vp, steps) == [vp, kitchen_kb.top]
 
 
 # -- property suites -----------------------------------------------------
@@ -192,3 +219,42 @@ def test_leq_matches_product_oracle(kb):
     for a in oracle.universe:
         for b in oracle.universe:
             assert vp_leq(kb, a, b) == oracle.leq(a, b)
+
+
+def _pairs(oracle):
+    """Every pair of the oracle's universe, plus each phrase against the
+    bound of its polarity."""
+    pairs = [(a, b) for a in oracle.universe for b in oracle.universe]
+    for vp in oracle.universe:
+        if vp.negated:
+            pairs.append((oracle.bottom, vp))
+        else:
+            pairs.append((vp, oracle.top))
+    return pairs
+
+
+@given(small_kbs, st.integers(1, 2))
+@settings(max_examples=60)
+def test_chain_is_the_closure_derivation(kb, arity):
+    oracle = ProductOracle(kb, arity)
+    for vp in oracle.universe:
+        fact = Sentence("i", Tense(PAST_PERFECT), vp)
+        for derivation in closure(kb, fact):
+            assert vp_chain(kb, vp, derivation.conclusion.vp) == derivation.steps
+
+
+@given(small_kbs, st.integers(1, 2))
+@settings(max_examples=60)
+def test_chain_matches_product_oracle(kb, arity):
+    oracle = ProductOracle(kb, arity)
+    for a, b in _pairs(oracle):
+        steps = vp_chain(kb, a, b)
+        assert (steps is None) == (not oracle.leq(a, b))
+        if steps is None:
+            continue
+        assert walk(a, steps)[-1] == b
+        distance = oracle.distance(a, b)
+        if distance is None:
+            assert steps == (Step(BOUND, a.text(), b.text(), BOUND),)
+        else:
+            assert len(steps) == distance
