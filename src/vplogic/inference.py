@@ -16,7 +16,7 @@ from itertools import islice
 
 from .errors import NotEntailed, SubjectMismatch, TenseMismatch
 from .phrase import BOTTOM, TOP, VerbPhrase, phrase_leq, vp_leq
-from .sentence import Leaf, Or, Sentence, SentenceExpr
+from .sentence import Leaf, Or, Sentence, SentenceExpr, supports
 
 DEFAULT_CAP = 10_000
 
@@ -95,20 +95,25 @@ class PropagationResult:
 
 
 def entails(kb, frm: Sentence, to: Sentence) -> bool:
-    """True iff the first sentence forces the second.
+    """True iff the first sentence forces the second, by ``supports``.
 
-    Requires the same subject and the same tense class; the work happens
-    in the phrase order, so negated facts entail downward automatically.
+    Requires the same subject, and the same tense unless both sentences
+    are perfect or timeframed past; negated facts entail downward.
     """
     kb.check_phrase(frm.vp)
     kb.check_phrase(to.vp)
     if frm.subject != to.subject:
         raise SubjectMismatch(f"subjects differ: {frm.subject!r} vs {to.subject!r}")
-    if frm.tense != to.tense:
-        raise TenseMismatch(
-            f"tense classes differ: {frm.tense.text()!r} vs {to.tense.text()!r}"
-        )
-    return vp_leq(kb, frm.vp, to.vp)
+    lifetime = kb.lifetime(frm.subject)
+    if frm.tense != to.tense and None in (
+        frm.tense.interval(lifetime), to.tense.interval(lifetime)
+    ):
+        raise TenseMismatch(f"tenses do not compare: {frm.text()!r} vs {to.text()!r}")
+    if supports(kb, frm, to):
+        return True
+    # Raises ArityMismatch for a pair of one polarity and different arity.
+    vp_leq(kb, frm.vp, to.vp)
+    return False
 
 
 def _edge_steps(kb, vp: VerbPhrase):

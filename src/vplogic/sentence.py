@@ -58,6 +58,11 @@ class Tense:
     def vague(self) -> bool:
         return self.form == PAST and self.timeframe is None
 
+    def interval(self, lifetime: TimeInterval) -> TimeInterval | None:
+        """The time a perfect or timeframed-past sentence quantifies over:
+        the subject's lifetime or the timeframe; None for other tenses."""
+        return lifetime if self.form == PAST_PERFECT else self.timeframe
+
     def text(self) -> str:
         return self.form
 
@@ -152,12 +157,26 @@ def expr_text(expr: SentenceExpr, top: bool = True) -> str:
 
 
 def supports(kb, known: Sentence, claim: Sentence) -> bool:
-    """Does the known sentence entail the claim?  Entailment never crosses
-    subjects or tense classes; both sentences must already be checked."""
+    """Does the known sentence entail the claim?  Both must already be
+    checked, and entailment never crosses subjects.
+
+    Equal tenses compare phrases only.  Perfect and timeframed-past
+    sentences also compare across tenses, as quantified statements over
+    their intervals: a positive phrase is existential, a negated one
+    universal (``TimeInterval.forces``).
+    """
+    if known.subject != claim.subject:
+        return False
+    if known.tense == claim.tense:
+        return phrase_leq(kb, known.vp, claim.vp)
+    lifetime = kb.lifetime(known.subject)
+    have = known.tense.interval(lifetime)
+    want = claim.tense.interval(lifetime)
     return (
-        known.subject == claim.subject
-        and known.tense == claim.tense
+        have is not None
+        and want is not None
         and phrase_leq(kb, known.vp, claim.vp)
+        and have.forces(not known.vp.negated, want, not claim.vp.negated)
     )
 
 

@@ -41,6 +41,21 @@ class TimeInterval:
     def overlaps(self, other: TimeInterval) -> bool:
         return self.start <= other.end and other.start <= self.end
 
+    def forces(self, exists: bool, other: TimeInterval, other_exists: bool) -> bool:
+        """Does a statement quantified over this interval (existentially
+        when ``exists``) force the same phrase quantified over ``other``?
+
+        Existentials carry over to superintervals, universals to
+        subintervals, and a universal to any overlapping existential.  Over
+        one point the two quantifiers agree, so such a premise counts as
+        universal.
+        """
+        if exists and self.start < self.end:
+            return other_exists and other.contains(self)
+        if other_exists:
+            return self.overlaps(other)
+        return self.contains(other)
+
     def points(self) -> range:
         return range(self.start, self.end + 1)
 
@@ -75,17 +90,14 @@ def render(sentence: Sentence, lifetime: TimeInterval) -> TemporalStatement:
     and must fall inside it.
     """
     tense = sentence.tense
-    if tense.form == PAST_PERFECT:
-        interval = lifetime
-    elif tense.form == PAST and tense.timeframe is not None:
-        if not lifetime.contains(tense.timeframe):
-            raise IntervalOutOfLifetime(
-                f"timeframe {tense.timeframe.text()} outside lifetime {lifetime.text()}"
-            )
-        interval = tense.timeframe
-    else:
+    interval = tense.interval(lifetime)
+    if interval is None:
         raise UnsupportedTense(
             f"cannot render tense {tense.form!r} (a plain past needs a timeframe)"
+        )
+    if not lifetime.contains(interval):
+        raise IntervalOutOfLifetime(
+            f"timeframe {interval.text()} outside lifetime {lifetime.text()}"
         )
     quantifier = FORALL if sentence.vp.negated else EXISTS
     return TemporalStatement(quantifier, interval, sentence.subject, sentence.vp)
@@ -124,26 +136,16 @@ def negate_quantified(ts: TemporalStatement) -> TemporalStatement:
     return TemporalStatement(quantifier, ts.interval, ts.subject, ts.vp.negate())
 
 
-def temporal_entails(kb, a: TemporalStatement, b: TemporalStatement,
-                     *, allow_forall_to_exists: bool = False) -> bool:
-    """Entailment between quantified statements over one subject.
-
-    Existentials transfer to superintervals, universals to subintervals,
-    both along the phrase order.  Mixed quantifiers are only granted when
-    ``allow_forall_to_exists`` is set and the intervals overlap.
-    """
+def temporal_entails(kb, a: TemporalStatement, b: TemporalStatement) -> bool:
+    """Entailment between quantified statements over one subject: the
+    phrase order together with ``TimeInterval.forces``."""
     kb.check_phrase(a.vp)
     kb.check_phrase(b.vp)
     if a.subject != b.subject:
         raise SubjectMismatch(f"subjects differ: {a.subject!r} vs {b.subject!r}")
-    phrases_ok = phrase_leq(kb, a.vp, b.vp)
-    if a.quantifier == EXISTS and b.quantifier == EXISTS:
-        return b.interval.contains(a.interval) and phrases_ok
-    if a.quantifier == FORALL and b.quantifier == FORALL:
-        return a.interval.contains(b.interval) and phrases_ok
-    if allow_forall_to_exists and a.quantifier == FORALL and b.quantifier == EXISTS:
-        return a.interval.overlaps(b.interval) and phrases_ok
-    return False
+    return phrase_leq(kb, a.vp, b.vp) and a.interval.forces(
+        a.quantifier == EXISTS, b.interval, b.quantifier == EXISTS
+    )
 
 
 def personal_or(kb, premises, acceptances, tense: Tense | None = None) -> list:

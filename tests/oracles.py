@@ -10,7 +10,7 @@ points.
 import itertools
 from collections import deque
 
-from vplogic import KnowledgeBase, VerbPhrase
+from vplogic import KnowledgeBase, TemporalStatement, TimeInterval, VerbPhrase
 from vplogic.order import KIND_OF, WAY_OF
 
 TIME_POINTS = range(0, 11)
@@ -147,19 +147,30 @@ class ProductOracle:
 class StatusScan:
     """Reference for ``World.status_of``: a linear scan of stored facts.
 
-    A stored fact supports a sentence when subject and tense are equal
-    and the product graph of the phrase's arity (one ``ProductOracle``
-    each) puts its phrase below.  A not_factual fact claims its negation.
-    Build it once the kb's atoms and verb arities are final.
+    A stored fact supports a sentence of the same subject when
+    - both are perfect or timeframed past, and their quantified readings
+      (exists over the lifetime or timeframe for a positive phrase,
+      forall for a negated one) pass ``oracle_temporal_entails``;
+    - or else the tenses are equal and the product graph puts the fact's
+      phrase below.
+    One ``ProductOracle`` per arity supplies the phrase order.  A
+    not_factual fact claims its negation.  Build it once the kb's atoms,
+    verb arities and lifetimes are final.
     """
 
     def __init__(self, kb, arities=(1,)):
+        self.kb = kb
         self.oracles = {n: ProductOracle(kb, n) for n in arities}
 
-    def _supports(self, known, claim):
-        if known.subject != claim.subject or known.tense != claim.tense:
+    def supports(self, known, claim):
+        if known.subject != claim.subject:
             return False
-        return self.oracles[known.vp.arity].leq(known.vp, claim.vp)
+        oracle = self.oracles[known.vp.arity]
+        lifetime = self.kb.lifetime(known.subject)
+        a, b = _reading(known, lifetime), _reading(claim, lifetime)
+        if a is None or b is None:
+            return known.tense == claim.tense and oracle.leq(known.vp, claim.vp)
+        return oracle_temporal_entails(oracle, *_onto_time_points(a, b))
 
     def status(self, facts, sentence):
         """Status of ``sentence`` given ``(sentence, status)`` pairs."""
@@ -168,12 +179,45 @@ class StatusScan:
             for stored, status in facts
         ]
         negated = sentence.negate()
-        if any(self._supports(known, negated) for known, _ in claims):
+        if any(self.supports(known, negated) for known, _ in claims):
             return "not_factual"
         for known, status in claims:
-            if self._supports(known, sentence):
+            if self.supports(known, sentence):
                 return status
         return "unknown"
+
+
+def _reading(sentence, lifetime):
+    """The quantified statement a perfect or timeframed-past sentence
+    makes, or None for the other tenses."""
+    tense = sentence.tense
+    if tense.form == "past_perfect":
+        interval = lifetime
+    elif tense.form == "past" and tense.timeframe is not None:
+        interval = tense.timeframe
+    else:
+        return None
+    quantifier = "forall" if sentence.vp.negated else "exists"
+    return TemporalStatement(quantifier, interval, sentence.subject, sentence.vp)
+
+
+def _onto_time_points(a, b):
+    """Both statements with every interval endpoint replaced by its rank
+    among the endpoints, so that any lifetime fits TIME_POINTS.
+
+    A countermodel uses a point only through the intervals that hold it,
+    and places at most one witness per statement.  So all that counts is
+    which regions (in a only, in b only, in both) are empty and whether
+    the common region holds two points, and ranks keep both.
+    """
+    ends = {a.interval.start, a.interval.end, b.interval.start, b.interval.end}
+    rank = {point: i for i, point in enumerate(sorted(ends))}
+
+    def squeeze(stmt):
+        interval = TimeInterval(rank[stmt.interval.start], rank[stmt.interval.end])
+        return TemporalStatement(stmt.quantifier, interval, stmt.subject, stmt.vp)
+
+    return squeeze(a), squeeze(b)
 
 
 def _constraint(stmt, negate=False):
@@ -210,11 +254,8 @@ def oracle_temporal_entails(product_oracle, a, b):
     if a.subject != b.subject:
         return False
     core_a, core_b = a.vp.core(), b.vp.core()
-    if core_a.arity == core_b.arity:
-        leq_ab = product_oracle.leq(core_a, core_b)
-        leq_ba = product_oracle.leq(core_b, core_a)
-    else:
-        leq_ab = leq_ba = False
+    leq_ab = product_oracle.leq(core_a, core_b)
+    leq_ba = product_oracle.leq(core_b, core_a)
     allowed = [
         (xa, xb)
         for xa in (0, 1)

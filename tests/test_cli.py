@@ -191,6 +191,37 @@ def test_laws_audits_each_tense_class(tmp_path):
     assert lines[-1] == "violations: 0"
 
 
+_TIMED_FACTS = ("fact i past eat*apple @ [3,4]\n", "fact i past_perfect not eat*fruit\n")
+
+
+@pytest.mark.parametrize("facts", [_TIMED_FACTS, _TIMED_FACTS[::-1]])
+def test_timed_past_facts_contradict_across_tenses(tmp_path, facts):
+    # "At some t in [3,4] I ate an apple" breaks "at no t in my lifetime
+    # did I eat fruit", in whichever order the two facts are loaded.
+    path = tmp_path / "timed.vpl"
+    path.write_text(
+        "noun apple kind_of fruit\nverb eat way_of consume\nlifetime i = [0,100]\n"
+        + "".join(facts)
+    )
+    code, out, err = run_cli("laws", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "the opposite is already entailed" in lines[0]
+
+
+def test_entails_across_timed_past_tenses(tmp_path):
+    path = tmp_path / "timed.vpl"
+    path.write_text(
+        "noun apple kind_of fruit\nverb eat way_of consume\nlifetime i = [0,100]\n"
+        + _TIMED_FACTS[0]
+    )
+    code, out, _ = run_cli(
+        "entails", str(path), "i past eat*apple @ [3,4]", "i past_perfect eat*fruit"
+    )
+    assert code == 0 and out.strip() == "true"
+
+
 def test_identical_inputs_identical_outputs():
     invocations = [
         ("closure", HOUSING, "i future buy*house*california"),

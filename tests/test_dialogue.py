@@ -122,6 +122,25 @@ def test_generate_dialogue_over_mixed_arities():
         assert entails(kb, specific, general)
 
 
+def test_generate_dialogue_grounds_in_a_fact_of_another_tense():
+    # A timed past fact supports a perfect-tense claim, so it can be the
+    # ground: the script then talks in the ground fact's tense, and its
+    # opening statement still entails the claim.
+    kb = make_kb(noun_edges=[("apple", "fruit")], verb_edges=[("eat", "consume")])
+    world = World(kb)
+    world.assert_fact(sentence(kb, "i past eat*apple @ [3,4]"))
+    claim = sentence(kb, "i past_perfect consume*fruit")
+    turns = generate_dialogue(world, claim)
+    assert [t.text for t in turns] == [
+        "i past consume*fruit @ [3,4]",
+        "which kind of fruit?",
+        "i past consume*apple @ [3,4]",
+        "how?",
+        "i past eat*apple @ [3,4]",
+    ]
+    assert entails(kb, turns[0].payload, claim)
+
+
 def test_generate_dialogue_on_a_negated_fact():
     # Each question is read off the closure step it undoes: moving a
     # denial from tokyo to japan follows a part_of edge, so the question

@@ -10,6 +10,7 @@ from vplogic import (
     Or,
     Sentence,
     Tense,
+    TimeInterval,
     World,
     closure,
     contrapose,
@@ -66,6 +67,14 @@ def test_entails_mismatches(kb):
         entails(kb, mk(kb, "bake", ["potato"]), mk(kb, "cook", ["vegetable"], subject="you"))
     with pytest.raises(TenseMismatch):
         entails(kb, mk(kb, "bake", ["potato"]), mk(kb, "cook", ["vegetable"], form=FUTURE))
+    # A vague past compares with no other tense; the message names both
+    # sentences, since the bare tense forms can read the same.
+    timed = Sentence("i", Tense(PAST, TimeInterval(0, 10)), kb.phrase("cook", ["vegetable"]))
+    with pytest.raises(TenseMismatch) as info:
+        entails(kb, mk(kb, "bake", ["potato"]), timed)
+    assert str(info.value) == (
+        "tenses do not compare: 'i past bake*potato' vs 'i past cook*vegetable @ [0,10]'"
+    )
 
 
 def test_closure_seven_conclusions(housing_kb):

@@ -17,6 +17,7 @@ from vplogic import (
     World,
     check_laws,
     distribute,
+    entails,
     expr_text,
     factor,
     neg,
@@ -102,10 +103,14 @@ def test_tense_classes_are_separate(kb):
     w = World(kb)
     w.assert_fact(s(kb, "bake", "potato"))
     assert w.status_of(s(kb, "bake", "potato", form=PRESENT_CONTINUOUS)) == UNKNOWN
-    a = s(kb, "bake", "potato", form=PAST, timeframe=TimeInterval(1, 2))
-    b = s(kb, "bake", "potato", form=PAST, timeframe=TimeInterval(1, 3))
-    w.assert_fact(a)
-    assert w.status_of(b) == UNKNOWN
+    # Timed past tenses compare over their intervals instead: "at some t
+    # in [1,2]" carries over to [1,3], not to [2,2].
+    w.assert_fact(s(kb, "bake", "potato", form=PAST, timeframe=TimeInterval(1, 2)))
+    assert w.status_of(s(kb, "cook", "vegetable", form=PAST, timeframe=TimeInterval(1, 3))) \
+        == FACTUAL
+    assert w.status_of(s(kb, "bake", "potato", form=PAST, timeframe=TimeInterval(2, 2))) \
+        == UNKNOWN
+    assert w.status_of(s(kb, "bake", "potato", form=PRESENT_CONTINUOUS)) == UNKNOWN
 
 
 # -- expression evaluation ----------------------------------------------
@@ -368,3 +373,59 @@ def test_status_of_matches_reference_scan(verb_edges, noun_edges, facts):
             for vp in phrases:
                 query = Sentence(subject, Tense(form), vp)
                 assert w.status_of(query) == scan.status(stored, query), query
+
+
+_TIMED_NOUNS = ("a", "b", "something")
+_TIMED_VERBS = ("do", "u", "v")
+_intervals = st.tuples(st.integers(0, 10), st.integers(0, 10)).map(
+    lambda ends: TimeInterval(min(ends), max(ends))
+)
+
+
+@given(
+    verb_edges=st.lists(st.sampled_from((("u", "v"), ("v", "u"), ("u", "do"))), max_size=2),
+    noun_edges=st.lists(
+        st.sampled_from((("a", "b"), ("b", "a"), ("a", "something"))), max_size=2
+    ),
+    lifetimes=st.tuples(_intervals, _intervals),
+    facts=st.lists(
+        st.tuples(
+            st.sampled_from(("i", "you")),
+            st.one_of(st.none(), _intervals),
+            st.sampled_from(_TIMED_VERBS),
+            st.sampled_from(_TIMED_NOUNS),
+            st.booleans(),
+        ),
+        max_size=6,
+    ),
+    frames=st.lists(_intervals, max_size=3),
+)
+@settings(max_examples=100)
+def test_status_of_matches_temporal_scan(verb_edges, noun_edges, lifetimes, facts, frames):
+    # Worlds that mix "past @ I" and past_perfect facts on one subject,
+    # against the countermodel search over TIME_POINTS.
+    kb = make_kb(noun_edges, verb_edges, nouns=_TIMED_NOUNS, verbs=_TIMED_VERBS)
+    for subject, lifetime in zip(("i", "you"), lifetimes):
+        kb.set_lifetime(subject, lifetime)
+
+    def tense(frame):
+        return Tense(PAST_PERFECT) if frame is None else Tense(PAST, frame)
+
+    w = World(kb)
+    for subject, frame, verb, noun, negated in facts:
+        try:
+            w.assert_fact(Sentence(subject, tense(frame), kb.phrase(verb, [noun], negated)))
+        except Contradiction:
+            pass
+    scan = StatusScan(kb)
+    stored = w.facts()
+    tenses = {tense(frame) for frame in [None, *frames]}
+    tenses |= {known.tense for known, _ in stored}
+    for subject in ("i", "you"):
+        for t in tenses:
+            for vp in scan.oracles[1].universe:
+                query = Sentence(subject, t, vp)
+                assert w.status_of(query) == scan.status(stored, query), query
+                for known, _ in stored:
+                    if known.subject == subject:
+                        assert entails(kb, known, query) == scan.supports(known, query)
