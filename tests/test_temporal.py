@@ -207,6 +207,22 @@ def test_temporal_entails_matches_discrete_oracle():
         assert len(seen) == 8 and one_point >= 1500
 
 
+def test_forall_to_exists_flag_matches_oracle():
+    # Formerly behind allow_forall_to_exists; a universal now carries over to
+    # an overlapping existential by default, for both phrase polarities.
+    kb = make_kb(noun_edges=[("n0", "n1")], verb_edges=[("v0", "v1")])
+    oracle = ProductOracle(kb)
+    rng = random.Random(11)
+    for _ in range(300):
+        negated = rng.random() < 0.5
+        a, b = _random_statement(rng, oracle), _random_statement(rng, oracle)
+        a = TemporalStatement(FORALL, a.interval, "i",
+                              a.vp.core().negate() if negated else a.vp.core())
+        b = TemporalStatement(EXISTS, b.interval, "i",
+                              b.vp.core().negate() if negated else b.vp.core())
+        assert temporal_entails(kb, a, b) == oracle_temporal_entails(oracle, a, b)
+
+
 # -- per-person disjunctions -----------------------------------------------------
 
 
