@@ -34,6 +34,7 @@ from .errors import (
     UnknownAtom,
     UnsupportedTense,
     VagueTense,
+    VplError,
 )
 from .order import normalize_id
 from .sentence import FACTUAL, FUTURE, PLAN, check_laws, expr_text
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except USAGE_ERRORS as exc:
+    except (VplError, ValueError) as exc:  # any failure to load is bad input
         print(f"error: {args.kb}: {exc}", file=sys.stderr)
         return 2
     handler = _HANDLERS[args.command]

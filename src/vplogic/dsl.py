@@ -14,8 +14,9 @@ The knowledge-base format is line oriented, one statement per line:
 Identifiers are case-folded; multi-word names use underscores (the
 parser never tokenizes English).  Sentence expressions combine quoted or
 bare sentences with NOT/AND/OR and parentheses, AND binding tighter.
-All errors carry 1-based line/column positions pointing at the first
-offending token.
+Parse errors carry 1-based line/column positions pointing at the first
+offending token; an error raised while loading a statement names its
+line.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError, ResolutionError, UnknownAtom
+from .errors import ParseError, ResolutionError, UnknownAtom, VplError
 from .inference import ConditionalRule
 from .kb import KnowledgeBase
 from .order import KIND_OF, NOUN, PART_OF, RESERVED_IDS, VERB, WAY_OF, normalize_id
@@ -343,8 +344,7 @@ def sentence(kb: KnowledgeBase, text: str, lenient: bool = False) -> Sentence:
     return _resolve_sentence(kb, parse_sentence(text), lenient)
 
 
-def _resolve_sentence(kb: KnowledgeBase, s: Sentence, lenient: bool,
-                      line: int | None = None) -> Sentence:
+def _resolve_sentence(kb: KnowledgeBase, s: Sentence, lenient: bool) -> Sentence:
     vp = s.vp
     if lenient:
         kb.verbs.add_atom(vp.verb)
@@ -353,8 +353,7 @@ def _resolve_sentence(kb: KnowledgeBase, s: Sentence, lenient: bool,
     try:
         resolved = kb.phrase(vp.verb, vp.nouns, vp.negated)
     except UnknownAtom as exc:
-        where = f" (line {line})" if line else ""
-        raise ResolutionError(f"{exc}{where}") from None
+        raise ResolutionError(str(exc)) from None
     return Sentence(s.subject, s.tense, resolved)
 
 
@@ -550,39 +549,52 @@ def serialize(doc: KbDocument) -> str:
 # -- loading --------------------------------------------------------------------
 
 
+# Relations first, then the tables facts read, then facts and rules in
+# document order.
+_LOAD_PASSES = ((RelationStmt,), (IsoStmt, DegreeStmt, LifetimeStmt), (FactStmt, CondStmt))
+
+
 def load_document(doc: KbDocument, lenient: bool = False) -> tuple[KnowledgeBase, World]:
     """Build a knowledge base and world from a parsed document.
 
     Reference resolution is order independent: every relation line is
     applied before any fact is looked at.  Unknown atoms in facts are
-    auto-registered only when ``lenient`` is set.
+    auto-registered only when ``lenient`` is set.  An error a statement
+    raises keeps its class and names the statement's line.
     """
     kb = KnowledgeBase()
-    for stmt in doc.statements:
-        if isinstance(stmt, RelationStmt):
-            order = kb.nouns if stmt.kind == NOUN else kb.verbs
-            order.add_atom(stmt.lower)
-            order.add_atom(stmt.upper)
-            order.declare(stmt.lower, stmt.upper, stmt.label)
-    for stmt in doc.statements:
-        try:
-            if isinstance(stmt, IsoStmt):
-                kb.add_iso(stmt.verb, stmt.category)
-            elif isinstance(stmt, DegreeStmt):
-                kb.add_degree(stmt.subject, stmt.item, stmt.category, stmt.degree)
-            elif isinstance(stmt, LifetimeStmt):
-                kb.set_lifetime(stmt.subject, TimeInterval(stmt.start, stmt.end))
-        except UnknownAtom as exc:
-            raise ResolutionError(f"{exc} (line {stmt.line})") from None
     world = World(kb)
-    for stmt in doc.statements:
-        if isinstance(stmt, FactStmt):
-            resolved = _resolve_sentence(kb, stmt.sentence, lenient, stmt.line)
-            world.assert_fact(resolved)
-        elif isinstance(stmt, CondStmt):
-            resolved = _resolve_sentence(kb, stmt.sentence, lenient, stmt.line)
-            kb.add_rule(ConditionalRule(stmt.antecedent, resolved))
+    for kinds in _LOAD_PASSES:
+        for stmt in doc.statements:
+            if not isinstance(stmt, kinds):
+                continue
+            try:
+                _load_statement(kb, world, stmt, lenient)
+            except UnknownAtom as exc:
+                raise ResolutionError(f"{exc} (line {stmt.line})") from None
+            except VplError as exc:
+                exc.args = (f"{exc} (line {stmt.line})",)
+                raise
     return kb, world
+
+
+def _load_statement(kb: KnowledgeBase, world: World, stmt, lenient: bool) -> None:
+    if isinstance(stmt, RelationStmt):
+        order = kb.nouns if stmt.kind == NOUN else kb.verbs
+        order.add_atom(stmt.lower)
+        order.add_atom(stmt.upper)
+        order.declare(stmt.lower, stmt.upper, stmt.label)
+    elif isinstance(stmt, IsoStmt):
+        kb.add_iso(stmt.verb, stmt.category)
+    elif isinstance(stmt, DegreeStmt):
+        kb.add_degree(stmt.subject, stmt.item, stmt.category, stmt.degree)
+    elif isinstance(stmt, LifetimeStmt):
+        kb.set_lifetime(stmt.subject, TimeInterval(stmt.start, stmt.end))
+    elif isinstance(stmt, FactStmt):
+        world.assert_fact(_resolve_sentence(kb, stmt.sentence, lenient))
+    else:
+        resolved = _resolve_sentence(kb, stmt.sentence, lenient)
+        kb.add_rule(ConditionalRule(stmt.antecedent, resolved))
 
 
 def load_text(source: str, lenient: bool = False) -> tuple[KnowledgeBase, World]:

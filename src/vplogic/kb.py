@@ -66,9 +66,6 @@ class KnowledgeBase:
     def has_iso(self, verb: str, category: str) -> bool:
         return (verb, category) in self._isos
 
-    def isos(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self._isos))
-
     def iso_categories(self, verb: str) -> tuple[str, ...]:
         return tuple(sorted(cat for v, cat in self._isos if v == verb))
 
@@ -88,9 +85,6 @@ class KnowledgeBase:
             return specific
         return self._degrees.get(("*", item, category))
 
-    def degrees(self) -> tuple:
-        return tuple(sorted(self._degrees.items()))
-
     # -- lifetimes --------------------------------------------------------
 
     def set_lifetime(self, subject: str, interval: TimeInterval) -> None:
@@ -98,9 +92,6 @@ class KnowledgeBase:
 
     def lifetime(self, subject: str) -> TimeInterval:
         return self._lifetimes.get(normalize_id(subject), DEFAULT_LIFETIME)
-
-    def lifetimes(self) -> tuple:
-        return tuple(sorted(self._lifetimes.items()))
 
     # -- rules --------------------------------------------------------------
 

@@ -73,6 +73,10 @@ class Preorder:
     """A labeled preorder over atoms of a single kind.
 
     Reflexivity is implicit and transitivity is computed, never stored.
+    Each declared edge is stored once, as a label set shared by the
+    ``_up`` and ``_down`` adjacency maps.  Point queries (``reaches``,
+    ``leq``) read one unlabelled closure built on first use; set queries
+    (``generalizations``, ``specializations``) walk the declared edges.
     Mutation (registering atoms, declaring edges) happens while a
     knowledge base is loaded; afterwards all queries are read-only.
     """
@@ -82,15 +86,10 @@ class Preorder:
             raise ValueError(f"unknown atom kind: {kind!r}")
         self.kind = kind
         self._atoms: dict[str, Atom] = {}
-        self._order: list[str] = []
         self._index: dict[str, int] = {}
-        self._edges: set[tuple[str, str, str]] = set()
         self._up: dict[str, dict[str, set[str]]] = {}
         self._down: dict[str, dict[str, set[str]]] = {}
-        # Closure rows per label: up-sets, and down-sets (the closure of
-        # the reversed edges), each built on first use.
-        self._up_rows: dict[str | None, list[int]] = {}
-        self._down_rows: dict[str | None, list[int]] = {}
+        self._reach: list[int] | None = None
 
     # -- construction -------------------------------------------------
 
@@ -100,13 +99,11 @@ class Preorder:
         atom = self._atoms.get(ident)
         if atom is None:
             atom = Atom(ident, self.kind)
+            self._index[ident] = len(self._atoms)
             self._atoms[ident] = atom
-            self._index[ident] = len(self._order)
-            self._order.append(ident)
             self._up[ident] = {}
             self._down[ident] = {}
-            self._up_rows.clear()
-            self._down_rows.clear()
+            self._reach = None
         return atom
 
     def declare(self, lower, upper, label: str) -> Preorder:
@@ -117,13 +114,11 @@ class Preorder:
             raise KindMismatch(
                 f"label {label!r} does not apply to {self.kind} atoms"
             )
-        edge = (lo.id, hi.id, label)
-        if edge not in self._edges:
-            self._edges.add(edge)
-            self._up[lo.id].setdefault(hi.id, set()).add(label)
-            self._down[hi.id].setdefault(lo.id, set()).add(label)
-            self._up_rows.clear()
-            self._down_rows.clear()
+        labels = self._up[lo.id].get(hi.id)
+        if labels is None:
+            labels = self._up[lo.id][hi.id] = self._down[hi.id][lo.id] = set()
+            self._reach = None
+        labels.add(label)
         return self
 
     # -- lookups ------------------------------------------------------
@@ -138,22 +133,17 @@ class Preorder:
         return ident in self._atoms
 
     def atoms(self) -> tuple[Atom, ...]:
-        return tuple(self._atoms[i] for i in self._order)
-
-    def edges(self) -> tuple[tuple[str, str, str], ...]:
-        return tuple(sorted(self._edges))
+        return tuple(self._atoms.values())
 
     def labels_between(self, lower: str, upper: str) -> frozenset[str]:
         """Labels on the directly declared edge lower -> upper, if any."""
         return frozenset(self._up.get(lower, {}).get(upper, ()))
 
-    def direct_uppers(self, ident: str, label: str | None = None) -> list[str]:
-        ups = self._up.get(ident, {})
-        return sorted(u for u, labels in ups.items() if label is None or label in labels)
+    def direct_uppers(self, ident: str) -> list[str]:
+        return sorted(self._up.get(ident, ()))
 
-    def direct_lowers(self, ident: str, label: str | None = None) -> list[str]:
-        downs = self._down.get(ident, {})
-        return sorted(d for d, labels in downs.items() if label is None or label in labels)
+    def direct_lowers(self, ident: str) -> list[str]:
+        return sorted(self._down.get(ident, ()))
 
     # -- order queries ------------------------------------------------
 
@@ -171,16 +161,16 @@ class Preorder:
     def reaches(self, frm: str, to: str) -> bool:
         """frm <= to for registered positive atom ids, no lookups or checks."""
         index = self._index
-        return bool(self._closure()[index[frm]] >> index[to] & 1)
+        reach = self._reach
+        if reach is None:
+            edges = [(index[lo], index[hi]) for lo, ups in self._up.items() for hi in ups]
+            reach = self._reach = reach_closure(len(index), edges)
+        return bool(reach[index[frm]] >> index[to] & 1)
 
     def generalizations(self, a) -> set[Literal]:
         """Everything the literal entails upward, itself included."""
         lit = self._as_literal(a)
-        if lit.negated:
-            ids = self._down_ids(lit.id)
-        else:
-            ids = self._up_ids(lit.id)
-        return {Literal(self._atoms[i], lit.negated) for i in ids}
+        return self._walk(lit, self._down if lit.negated else self._up)
 
     def specializations(self, a, label: str | None = None) -> set[Literal]:
         """Everything that entails the literal, optionally restricted to
@@ -188,11 +178,7 @@ class Preorder:
         if label is not None and label not in LABELS_BY_KIND[self.kind]:
             raise KindMismatch(f"label {label!r} does not apply to {self.kind} atoms")
         lit = self._as_literal(a)
-        if lit.negated:
-            ids = self._up_ids(lit.id, label)
-        else:
-            ids = self._down_ids(lit.id, label)
-        return {Literal(self._atoms[i], lit.negated) for i in ids}
+        return self._walk(lit, self._up if lit.negated else self._down, label)
 
     # -- internals ----------------------------------------------------
 
@@ -212,30 +198,14 @@ class Preorder:
             return Literal(atom, ref.negated)
         return Literal(self._resolve(ref), False)
 
-    def _closure(self, label: str | None = None, reverse: bool = False) -> list[int]:
-        cache = self._down_rows if reverse else self._up_rows
-        reach = cache.get(label)
-        if reach is None:
-            index = self._index
-            edges = [
-                (index[hi], index[lo]) if reverse else (index[lo], index[hi])
-                for lo, hi, lab in self._edges
-                if label is None or lab == label
-            ]
-            reach = reach_closure(len(self._order), edges)
-            cache[label] = reach
-        return reach
-
-    def _up_ids(self, ident: str, label: str | None = None) -> list[str]:
-        return self._decode(self._closure(label)[self._index[ident]])
-
-    def _down_ids(self, ident: str, label: str | None = None) -> list[str]:
-        return self._decode(self._closure(label, reverse=True)[self._index[ident]])
-
-    def _decode(self, row: int) -> list[str]:
-        out = []
-        while row:
-            bit = row & -row
-            out.append(self._order[bit.bit_length() - 1])
-            row ^= bit
-        return out
+    def _walk(self, lit: Literal, adjacency, label: str | None = None) -> set[Literal]:
+        """The literal plus every atom reached along ``adjacency``, through
+        edges carrying ``label`` if one is given, with the literal's sign."""
+        seen = {lit.id}
+        stack = [lit.id]
+        while stack:
+            for nxt, labels in adjacency[stack.pop()].items():
+                if nxt not in seen and (label is None or label in labels):
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return {Literal(self._atoms[i], lit.negated) for i in seen}

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     Contradiction,
+    IntervalOutOfLifetime,
     UnsupportedShape,
     UnsupportedTense,
     VagueTense,
@@ -62,6 +63,15 @@ class Tense:
         """The time a perfect or timeframed-past sentence quantifies over:
         the subject's lifetime or the timeframe; None for other tenses."""
         return lifetime if self.form == PAST_PERFECT else self.timeframe
+
+    def interval_within(self, lifetime: TimeInterval) -> TimeInterval | None:
+        """``interval``, refusing a timeframe that leaves the lifetime."""
+        interval = self.interval(lifetime)
+        if interval is not None and not lifetime.contains(interval):
+            raise IntervalOutOfLifetime(
+                f"timeframe {interval.text()} outside lifetime {lifetime.text()}"
+            )
+        return interval
 
     def text(self) -> str:
         return self.form
@@ -195,9 +205,6 @@ class World:
     def facts(self) -> tuple[tuple[Sentence, str], ...]:
         return tuple(self._facts.items())
 
-    def subjects(self) -> tuple[str, ...]:
-        return tuple(sorted({s.subject for s in self._facts}))
-
     def claims(self):
         """Stored facts normalized to "this sentence holds" form, paired
         with their class (factual or plan)."""
@@ -215,6 +222,7 @@ class World:
             raise VagueTense(
                 f"{sentence.text()!r}: plain past needs a timeframe to carry factual status"
             )
+        sentence.tense.interval_within(self.kb.lifetime(sentence.subject))
         # Future-tense assertions are recorded as plans, normalized so the
         # stored sentence is the one claimed to hold.
         if sentence.tense.form == FUTURE:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    IntervalOutOfLifetime,
     NonCanonicalForm,
     NotEntailed,
     SubjectMismatch,
@@ -90,14 +89,10 @@ def render(sentence: Sentence, lifetime: TimeInterval) -> TemporalStatement:
     and must fall inside it.
     """
     tense = sentence.tense
-    interval = tense.interval(lifetime)
+    interval = tense.interval_within(lifetime)
     if interval is None:
         raise UnsupportedTense(
             f"cannot render tense {tense.form!r} (a plain past needs a timeframe)"
-        )
-    if not lifetime.contains(interval):
-        raise IntervalOutOfLifetime(
-            f"timeframe {interval.text()} outside lifetime {lifetime.text()}"
         )
     quantifier = FORALL if sentence.vp.negated else EXISTS
     return TemporalStatement(quantifier, interval, sentence.subject, sentence.vp)

@@ -11,6 +11,13 @@ import pytest
 
 import vplogic
 from vplogic.cli import main
+from vplogic.errors import (
+    ArityMismatch,
+    Contradiction,
+    IntervalOutOfLifetime,
+    OutOfRange,
+    VagueTense,
+)
 
 DATA = Path(__file__).parent / "data"
 CORE = str(DATA / "golden_core.vpl")
@@ -220,6 +227,53 @@ def test_entails_across_timed_past_tenses(tmp_path):
         "entails", str(path), "i past eat*apple @ [3,4]", "i past_perfect eat*fruit"
     )
     assert code == 0 and out.strip() == "true"
+
+
+_LIFETIME_KB = "noun apple kind_of fruit\nverb eat way_of consume\nlifetime i = [0,100]\n"
+
+
+@pytest.mark.parametrize("body, error, line, message", [
+    ("".join(_TIMED_FACTS), Contradiction, 5, "the opposite is already entailed"),
+    ("fact i past eat*apple\n", VagueTense, 4, "plain past needs a timeframe"),
+    (
+        "noun tokyo part_of japan\nfact i past_perfect eat*apple\n"
+        "fact i past_perfect eat*apple*tokyo\n",
+        ArityMismatch, 6, "takes 1 noun slot(s), got 2",
+    ),
+    ("degree * apple in fruit = 1.5\n", OutOfRange, 4, "degree must lie in [0, 1]"),
+    (
+        "fact i past eat*apple @ [90,120]\n",
+        IntervalOutOfLifetime, 4, "timeframe [90,120] outside lifetime [0,100]",
+    ),
+], ids=["contradiction", "vague_tense", "arity_mismatch", "out_of_range", "out_of_lifetime"])
+def test_load_errors_name_their_line(tmp_path, body, error, line, message):
+    source = _LIFETIME_KB + body
+    with pytest.raises(error, match=rf"\(line {line}\)$"):
+        vplogic.load_text(source)
+    path = tmp_path / "bad.vpl"
+    path.write_text(source)
+    code, out, err = run_cli("laws", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: ") and message in lines[0]
+    assert lines[0].endswith(f"(line {line})")
+
+
+def test_timeframe_outside_lifetime_is_refused_at_assertion(tmp_path):
+    path = tmp_path / "lifetime.vpl"
+    path.write_text(_LIFETIME_KB)
+    code, out, _ = run_cli(
+        "repl", str(path),
+        stdin_text="! i past eat*apple @ [90,120]\n= i past eat*apple @ [90,120]\n",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "ERR: timeframe [90,120] outside lifetime [0,100] [interval_out_of_lifetime]",
+        "A: unknown",
+    ]
+    code, out, _ = run_cli("check", str(path), '"i past eat*apple @ [90,120]"')
+    assert code == 1 and out.strip() == "unknown"
 
 
 def test_identical_inputs_identical_outputs():

@@ -107,6 +107,16 @@ def test_specializations_leaf():
     assert p.specializations("leaf_node") == {lit(p, "leaf_node")}
 
 
+def test_long_chain_walks_without_recursion():
+    n = 5000
+    p = chain_order(*(f"n{i}" for i in range(n)))
+    bottom, top = lit(p, "n0"), lit(p, f"n{n - 1}")
+    assert len(p.generalizations(bottom)) == n
+    assert len(p.specializations(top, KIND_OF)) == n
+    assert len(p.generalizations(top.negate())) == n
+    assert len(p.specializations(bottom.negate())) == n
+
+
 def test_normalization():
     assert normalize_id("Hybrid Car") == "hybrid_car"
     p = Preorder(NOUN)
@@ -205,6 +215,10 @@ def test_up_down_sets_match_matrix(params):
         assert ups == {ids[j] for j in range(n) if (i, j) in expected}
         downs = {l.id for l in p.specializations(ident)}
         assert downs == {ids[j] for j in range(n) if (j, i) in expected}
+        # A negated literal walks the other way and keeps its sign.
+        negated = Literal(p.atom(ident), True)
+        assert p.generalizations(negated) == {lit(p, d, True) for d in downs}
+        assert p.specializations(negated) == {lit(p, u, True) for u in ups}
 
 
 labeled_orders = st.integers(2, 10).flatmap(
@@ -238,3 +252,6 @@ def test_label_filtered_specializations_match_filtered_matrix(params):
         for i, ident in enumerate(ids):
             downs = {l.id for l in p.specializations(ident, label)}
             assert downs == {ids[j] for j in range(n) if (j, i) in expected}
+            ups = {ids[j] for j in range(n) if (i, j) in expected}
+            negated = Literal(p.atom(ident), True)
+            assert p.specializations(negated, label) == {lit(p, u, True) for u in ups}

@@ -22,7 +22,13 @@ from vplogic import (
     factor,
     neg,
 )
-from vplogic.errors import Contradiction, UnsupportedShape, UnsupportedTense, VagueTense
+from vplogic.errors import (
+    Contradiction,
+    IntervalOutOfLifetime,
+    UnsupportedShape,
+    UnsupportedTense,
+    VagueTense,
+)
 from vplogic.sentence import FUTURE, PAST, PAST_PERFECT, PRESENT_CONTINUOUS
 from vplogic.temporal import TimeInterval
 
@@ -415,7 +421,7 @@ def test_status_of_matches_temporal_scan(verb_edges, noun_edges, lifetimes, fact
     for subject, frame, verb, noun, negated in facts:
         try:
             w.assert_fact(Sentence(subject, tense(frame), kb.phrase(verb, [noun], negated)))
-        except Contradiction:
+        except (Contradiction, IntervalOutOfLifetime):
             pass
     scan = StatusScan(kb)
     stored = w.facts()
