@@ -48,7 +48,7 @@ from .inference import (
     vp_chain,
 )
 from .kb import KnowledgeBase
-from .order import Atom, Literal, Preorder
+from .order import Preorder
 from .phrase import VerbPhrase, vp_leq
 from .sentence import (
     FACTUAL,

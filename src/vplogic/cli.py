@@ -260,8 +260,8 @@ def _cmd_ask(args, kb, world, emitter, cap) -> int:
 
 
 def _cmd_fuzzy(args, kb, world, emitter, cap) -> int:
-    verb = kb.verbs.atom(normalize_id(args.verb)).id
-    item = kb.nouns.atom(normalize_id(args.item)).id
+    verb = kb.verbs.atom(normalize_id(args.verb))
+    item = kb.nouns.atom(normalize_id(args.item))
     categories = kb.iso_categories(verb)
     if not categories:
         raise NoIso(f"verb {verb!r} has no declared noun category")

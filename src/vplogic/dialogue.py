@@ -22,7 +22,7 @@ from .errors import (
 )
 from . import dsl
 from .inference import apply_step, closure
-from .order import KIND_OF, PART_OF, Literal
+from .order import KIND_OF, PART_OF, WAY_OF
 from .phrase import phrase_leq
 from .sentence import FACTUAL, PLAN, Leaf, Sentence, World, supports
 
@@ -72,16 +72,17 @@ def apply_question(world: World, operator: str, sentence: Sentence,
     operator = OPERATOR_ALIASES.get(operator, operator)
     if operator not in (HOW, WHICH_PART, WHICH_KIND):
         raise ValueError(f"unknown question operator: {operator!r}")
-    world.kb.check_phrase(sentence.vp)
+    kb = world.kb
+    kb.check_phrase(sentence.vp)
     if not _held(world, sentence):
         raise NotFactual(f"the world does not support {sentence.text()!r}")
     vp = sentence.vp
     if operator == HOW:
-        lit = Literal(world.kb.verbs.atom(vp.verb), vp.negated)
-        candidates = [
-            sentence if c.id == vp.verb else
-            Sentence(sentence.subject, sentence.tense, vp.replace(verb=c.id))
-            for c in world.kb.verbs.specializations(lit)
+        refined = [
+            vp.replace(verb=c)
+            for c in _refinements(kb.verbs, vp.verb, vp.negated, WAY_OF)
+            # A verb pinned to another arity yields no phrase.
+            if kb.arities.get(c, vp.arity) == vp.arity
         ]
     else:
         if slot is None:
@@ -92,19 +93,24 @@ def apply_question(world: World, operator: str, sentence: Sentence,
             slot = 0
         if not 0 <= slot < vp.arity:
             raise SlotOutOfRange(f"slot {slot} out of range for arity {vp.arity}")
-        lit = Literal(world.kb.nouns.atom(vp.nouns[slot]), vp.negated)
-        candidates = [
-            sentence if c.id == vp.nouns[slot] else
-            Sentence(sentence.subject, sentence.tense, vp.replace(slot=slot, noun=c.id))
-            for c in world.kb.nouns.specializations(lit, _NOUN_LABEL[operator])
+        label = _NOUN_LABEL[operator]
+        refined = [
+            vp.replace(slot=slot, noun=c)
+            for c in _refinements(kb.nouns, vp.nouns[slot], vp.negated, label)
         ]
-    answers = sorted(
-        {c for c in candidates if c != sentence and _held(world, c)},
-        key=lambda s: s.text(),
-    )
+    candidates = (Sentence(sentence.subject, sentence.tense, r) for r in refined)
+    answers = sorted((c for c in candidates if _held(world, c)), key=lambda s: s.text())
     if not answers:
         return QuestionResult((), NO_REFINEMENT)
     return QuestionResult(tuple(answers))
+
+
+def _refinements(order, atom: str, negated: bool, label: str) -> set[str]:
+    """The atoms other than ``atom`` that refine it along ``label``
+    edges: below it in a positive phrase, above it in a negated one,
+    because negation reverses the order."""
+    walk = order.generalizations if negated else order.specializations
+    return walk(atom, label) - {atom}
 
 
 def _most_specific(kb, sentences) -> Sentence:

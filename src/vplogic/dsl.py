@@ -296,13 +296,19 @@ def _parse_interval(cursor: _Cursor) -> tuple[int, int]:
     return start, end
 
 
-def _parse_sentence_body(cursor: _Cursor) -> Sentence:
+def _subject_and_form(cursor: _Cursor) -> tuple[str, str]:
+    """The subject and tense form that open every sentence."""
     subject = _identifier(cursor, "subject")
     tense_tok = cursor.expect("word", what="|".join(TENSE_FORMS))
     form = tense_tok.text.casefold()
     if form not in TENSE_FORMS:
         raise ParseError(f"unexpected {tense_tok.text!r}", tense_tok.line,
                          tense_tok.column, expected=set(TENSE_FORMS))
+    return subject, form
+
+
+def _parse_sentence_body(cursor: _Cursor) -> Sentence:
+    subject, form = _subject_and_form(cursor)
     negated = False
     tok = cursor.peek()
     if tok is not None and tok.kind == "word" and tok.text.casefold() == "not":
@@ -456,12 +462,7 @@ def parse_compound(text: str) -> CompoundPhrase:
     ``subj tense ( verb and|or verb ) * noun {* noun}``."""
     tokens = _tokenize(text)
     cursor = _Cursor(tokens, 1, len(text) + 1)
-    subject = _identifier(cursor, "subject")
-    tense_tok = cursor.expect("word", what="|".join(TENSE_FORMS))
-    form = tense_tok.text.casefold()
-    if form not in TENSE_FORMS:
-        raise ParseError(f"unexpected {tense_tok.text!r}", tense_tok.line,
-                         tense_tok.column, expected=set(TENSE_FORMS))
+    subject, form = _subject_and_form(cursor)
     tense = Tense(form)
     tok = cursor.peek()
     if tok is not None and tok.kind == "punct" and tok.text == "(":
@@ -522,21 +523,10 @@ def _render(stmt) -> str:
     if isinstance(stmt, LifetimeStmt):
         return f"lifetime {stmt.subject} = [{stmt.start},{stmt.end}]"
     if isinstance(stmt, FactStmt):
-        return f"fact {_sentence_body_text(stmt.sentence)}"
+        return f"fact {stmt.sentence.text()}"
     if isinstance(stmt, CondStmt):
-        return f'cond "{stmt.antecedent}" => {_sentence_body_text(stmt.sentence)}'
+        return f'cond "{stmt.antecedent}" => {stmt.sentence.text()}'
     raise TypeError(f"cannot render {type(stmt).__name__}")
-
-
-def _sentence_body_text(s: Sentence) -> str:
-    vp = s.vp
-    body = " * ".join((vp.verb,) + vp.nouns)
-    if vp.negated:
-        body = "not " + body
-    out = f"{s.subject} {s.tense.form} {body}"
-    if s.tense.timeframe is not None:
-        out += f" @ [{s.tense.timeframe.start},{s.tense.timeframe.end}]"
-    return out
 
 
 def serialize(doc: KbDocument) -> str:
@@ -581,9 +571,7 @@ def load_document(doc: KbDocument, lenient: bool = False) -> tuple[KnowledgeBase
 def _load_statement(kb: KnowledgeBase, world: World, stmt, lenient: bool) -> None:
     if isinstance(stmt, RelationStmt):
         order = kb.nouns if stmt.kind == NOUN else kb.verbs
-        order.add_atom(stmt.lower)
-        order.add_atom(stmt.upper)
-        order.declare(stmt.lower, stmt.upper, stmt.label)
+        order.declare(order.add_atom(stmt.lower), order.add_atom(stmt.upper), stmt.label)
     elif isinstance(stmt, IsoStmt):
         kb.add_iso(stmt.verb, stmt.category)
     elif isinstance(stmt, DegreeStmt):

@@ -77,7 +77,7 @@ def fuzzy_statement(kb, subject: str, iso: NVIso, item: str,
     """Frequency statement like "american rarely eat seaweed"."""
     iso = _require_iso(kb, iso)
     subject = normalize_id(subject)
-    item = kb.nouns.atom(normalize_id(item)).id
+    item = kb.nouns.atom(normalize_id(item))
     degree = kb.degree(subject, item, iso.category)
     if degree is None:
         raise NoDegree(f"no degree for {item!r} in {iso.category!r} (subject {subject!r})")
@@ -91,7 +91,7 @@ def possibility(kb, subject: str, iso: NVIso, item: str) -> bool:
     as possible, a zero degree does not.
     """
     iso = _require_iso(kb, iso)
-    item = kb.nouns.atom(normalize_id(item)).id
+    item = kb.nouns.atom(normalize_id(item))
     if not kb.nouns.leq(item, iso.category):
         return False
     degree = kb.degree(subject, item, iso.category)

@@ -34,11 +34,6 @@ class ConditionalRule:
     antecedent: str | Sentence
     consequent: Sentence
 
-    def antecedent_text(self) -> str:
-        if isinstance(self.antecedent, Sentence):
-            return self.antecedent.text()
-        return self.antecedent
-
 
 @dataclass(frozen=True, slots=True)
 class Step:
@@ -98,16 +93,17 @@ def entails(kb, frm: Sentence, to: Sentence) -> bool:
     """True iff the first sentence forces the second, by ``supports``.
 
     Requires the same subject, and the same tense unless both sentences
-    are perfect or timeframed past; negated facts entail downward.
+    are perfect or timeframed past; negated facts entail downward.  A
+    timeframe outside the subject's lifetime raises
+    ``IntervalOutOfLifetime``.
     """
     kb.check_phrase(frm.vp)
     kb.check_phrase(to.vp)
     if frm.subject != to.subject:
         raise SubjectMismatch(f"subjects differ: {frm.subject!r} vs {to.subject!r}")
     lifetime = kb.lifetime(frm.subject)
-    if frm.tense != to.tense and None in (
-        frm.tense.interval(lifetime), to.tense.interval(lifetime)
-    ):
+    intervals = (frm.tense.interval_within(lifetime), to.tense.interval_within(lifetime))
+    if frm.tense != to.tense and None in intervals:
         raise TenseMismatch(f"tenses do not compare: {frm.text()!r} vs {to.text()!r}")
     if supports(kb, frm, to):
         return True

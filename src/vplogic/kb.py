@@ -59,8 +59,8 @@ class KnowledgeBase:
     # -- isomorphisms and degrees ----------------------------------------
 
     def add_iso(self, verb: str, category: str) -> None:
-        verb = self.verbs.atom(normalize_id(verb)).id
-        category = self.nouns.atom(normalize_id(category)).id
+        verb = self.verbs.atom(normalize_id(verb))
+        category = self.nouns.atom(normalize_id(category))
         self._isos.add((verb, category))
 
     def has_iso(self, verb: str, category: str) -> bool:
@@ -72,8 +72,8 @@ class KnowledgeBase:
     def add_degree(self, subject: str, item: str, category: str, degree: float) -> None:
         if not 0.0 <= degree <= 1.0:
             raise OutOfRange(f"degree must lie in [0, 1], got {degree}")
-        item = self.nouns.atom(normalize_id(item)).id
-        category = self.nouns.atom(normalize_id(category)).id
+        item = self.nouns.atom(normalize_id(item))
+        category = self.nouns.atom(normalize_id(category))
         subject = "*" if subject == "*" else normalize_id(subject)
         self._degrees[(subject, item, category)] = degree
 

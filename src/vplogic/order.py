@@ -1,17 +1,16 @@
 """Specificity preorders over noun and verb atoms.
 
 The ordering reads "lower is more specific": potato <= vegetable, fly <=
-travel.  Only positive atoms and positive edges are stored; a negative
-literal query is answered by flipping the positive order (not-b <= not-a
-whenever a <= b), so contraposition holds by construction rather than by
-data discipline.  Cycles are allowed and mean mutual entailment, which is
-how synonyms come out.
+travel.  The orders are positive: negation lives on verb phrases
+(``phrase.phrase_leq``), which read these orders backwards for a negated
+phrase, so contraposition holds by construction rather than by data
+discipline.  Cycles are allowed and mean mutual entailment, which is how
+synonyms come out.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ._kernel import reach_closure
 from .errors import KindMismatch, UnknownAtom
@@ -48,33 +47,14 @@ def validate_id(ident: str) -> str:
     return ident
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    id: str
-    kind: str
-
-
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """A signed atom; negating twice gives back the original literal."""
-
-    atom: Atom
-    negated: bool = False
-
-    def negate(self) -> Literal:
-        return Literal(self.atom, not self.negated)
-
-    @property
-    def id(self) -> str:
-        return self.atom.id
-
-
 class Preorder:
     """A labeled preorder over atoms of a single kind.
 
-    Reflexivity is implicit and transitivity is computed, never stored.
-    Each declared edge is stored once, as a label set shared by the
-    ``_up`` and ``_down`` adjacency maps.  Point queries (``reaches``,
+    Atoms are plain ids: ``add_atom`` normalizes and validates an id once
+    and returns it, and every other method takes registered ids as they
+    are.  Reflexivity is implicit and transitivity is computed, never
+    stored.  Each declared edge is stored once, as a label set shared by
+    the ``_up`` and ``_down`` adjacency maps.  Point queries (``reaches``,
     ``leq``) read one unlabelled closure built on first use; set queries
     (``generalizations``, ``specializations``) walk the declared edges.
     Mutation (registering atoms, declaring edges) happens while a
@@ -85,7 +65,6 @@ class Preorder:
         if kind not in LABELS_BY_KIND:
             raise ValueError(f"unknown atom kind: {kind!r}")
         self.kind = kind
-        self._atoms: dict[str, Atom] = {}
         self._index: dict[str, int] = {}
         self._up: dict[str, dict[str, set[str]]] = {}
         self._down: dict[str, dict[str, set[str]]] = {}
@@ -93,47 +72,41 @@ class Preorder:
 
     # -- construction -------------------------------------------------
 
-    def add_atom(self, ident: str) -> Atom:
-        """Register an atom id; re-registering the same id is a no-op."""
+    def add_atom(self, ident: str) -> str:
+        """Register an atom and return its normalized id; re-registering
+        the same id is a no-op."""
         ident = validate_id(normalize_id(ident))
-        atom = self._atoms.get(ident)
-        if atom is None:
-            atom = Atom(ident, self.kind)
-            self._index[ident] = len(self._atoms)
-            self._atoms[ident] = atom
+        if ident not in self._index:
+            self._index[ident] = len(self._index)
             self._up[ident] = {}
             self._down[ident] = {}
             self._reach = None
-        return atom
+        return ident
 
-    def declare(self, lower, upper, label: str) -> Preorder:
+    def declare(self, lower: str, upper: str, label: str) -> Preorder:
         """Record lower <= upper with the given relation label."""
-        lo = self._resolve(lower)
-        hi = self._resolve(upper)
-        if label not in LABELS_BY_KIND[self.kind]:
-            raise KindMismatch(
-                f"label {label!r} does not apply to {self.kind} atoms"
-            )
-        labels = self._up[lo.id].get(hi.id)
+        lo, hi = self.atom(lower), self.atom(upper)
+        self._check_label(label)
+        labels = self._up[lo].get(hi)
         if labels is None:
-            labels = self._up[lo.id][hi.id] = self._down[hi.id][lo.id] = set()
+            labels = self._up[lo][hi] = self._down[hi][lo] = set()
             self._reach = None
         labels.add(label)
         return self
 
     # -- lookups ------------------------------------------------------
 
-    def atom(self, ident: str) -> Atom:
-        try:
-            return self._atoms[ident]
-        except KeyError:
-            raise UnknownAtom(f"unknown {self.kind}: {ident!r}") from None
+    def atom(self, ident: str) -> str:
+        """The id itself, if registered."""
+        if ident not in self._index:
+            raise UnknownAtom(f"unknown {self.kind}: {ident!r}")
+        return ident
 
     def __contains__(self, ident: str) -> bool:
-        return ident in self._atoms
+        return ident in self._index
 
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(self._atoms.values())
+    def atoms(self) -> tuple[str, ...]:
+        return tuple(self._index)
 
     def labels_between(self, lower: str, upper: str) -> frozenset[str]:
         """Labels on the directly declared edge lower -> upper, if any."""
@@ -147,19 +120,12 @@ class Preorder:
 
     # -- order queries ------------------------------------------------
 
-    def leq(self, a, b) -> bool:
-        """Literal order: positive pairs follow the edges, negative pairs
-        follow them backwards, mixed polarity is never comparable."""
-        la = self._as_literal(a)
-        lb = self._as_literal(b)
-        if la.negated != lb.negated:
-            return False
-        if la.negated:
-            return self.reaches(lb.id, la.id)
-        return self.reaches(la.id, lb.id)
+    def leq(self, a: str, b: str) -> bool:
+        """a <= b for registered ids."""
+        return self.reaches(self.atom(a), self.atom(b))
 
     def reaches(self, frm: str, to: str) -> bool:
-        """frm <= to for registered positive atom ids, no lookups or checks."""
+        """frm <= to for registered ids, no lookups or checks."""
         index = self._index
         reach = self._reach
         if reach is None:
@@ -167,45 +133,30 @@ class Preorder:
             reach = self._reach = reach_closure(len(index), edges)
         return bool(reach[index[frm]] >> index[to] & 1)
 
-    def generalizations(self, a) -> set[Literal]:
-        """Everything the literal entails upward, itself included."""
-        lit = self._as_literal(a)
-        return self._walk(lit, self._down if lit.negated else self._up)
+    def generalizations(self, ident: str, label: str | None = None) -> set[str]:
+        """The id and everything above it, optionally through chains of
+        edges carrying one label."""
+        return self._walk(ident, self._up, label)
 
-    def specializations(self, a, label: str | None = None) -> set[Literal]:
-        """Everything that entails the literal, optionally restricted to
-        chains of edges carrying one label."""
-        if label is not None and label not in LABELS_BY_KIND[self.kind]:
-            raise KindMismatch(f"label {label!r} does not apply to {self.kind} atoms")
-        lit = self._as_literal(a)
-        return self._walk(lit, self._up if lit.negated else self._down, label)
+    def specializations(self, ident: str, label: str | None = None) -> set[str]:
+        """The id and everything below it, optionally through chains of
+        edges carrying one label."""
+        return self._walk(ident, self._down, label)
 
     # -- internals ----------------------------------------------------
 
-    def _resolve(self, ref) -> Atom:
-        if isinstance(ref, Literal):
-            ref = ref.atom
-        if isinstance(ref, Atom):
-            if ref.kind != self.kind:
-                raise KindMismatch(f"expected a {self.kind} atom, got {ref.kind}")
-            ref = ref.id
-        ident = normalize_id(ref)
-        return self.atom(ident)
+    def _check_label(self, label: str) -> None:
+        if label not in LABELS_BY_KIND[self.kind]:
+            raise KindMismatch(f"label {label!r} does not apply to {self.kind} atoms")
 
-    def _as_literal(self, ref) -> Literal:
-        if isinstance(ref, Literal):
-            atom = self._resolve(ref.atom)
-            return Literal(atom, ref.negated)
-        return Literal(self._resolve(ref), False)
-
-    def _walk(self, lit: Literal, adjacency, label: str | None = None) -> set[Literal]:
-        """The literal plus every atom reached along ``adjacency``, through
-        edges carrying ``label`` if one is given, with the literal's sign."""
-        seen = {lit.id}
-        stack = [lit.id]
+    def _walk(self, ident: str, adjacency, label: str | None) -> set[str]:
+        if label is not None:
+            self._check_label(label)
+        seen = {self.atom(ident)}
+        stack = [ident]
         while stack:
             for nxt, labels in adjacency[stack.pop()].items():
                 if nxt not in seen and (label is None or label in labels):
                     seen.add(nxt)
                     stack.append(nxt)
-        return {Literal(self._atoms[i], lit.negated) for i in seen}
+        return seen

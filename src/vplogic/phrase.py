@@ -4,9 +4,11 @@ A phrase is one verb plus an ordered list of noun slots under a single
 polarity flag, e.g. ``buy*hybrid_car`` or ``not fly*tokyo*la``.  Positive
 phrases compare componentwise (verb against verb, each slot against the
 matching slot); negated phrases compare with the components reversed, so
-negation is antitone and involutive.  ``do*something`` is the designated
-top of all positive phrases and its negation the bottom of all negated
-ones; these bounds hold regardless of declared edges and of arity.
+negation is antitone and involutive.  Polarity lives here only: the atom
+orders (``order.Preorder``) are positive, and ``phrase_leq`` reads them
+backwards for a negated pair.  ``do*something`` is the designated top of
+all positive phrases and its negation the bottom of all negated ones;
+these bounds hold regardless of declared edges and of arity.
 """
 
 from __future__ import annotations

@@ -222,7 +222,6 @@ class World:
             raise VagueTense(
                 f"{sentence.text()!r}: plain past needs a timeframe to carry factual status"
             )
-        sentence.tense.interval_within(self.kb.lifetime(sentence.subject))
         # Future-tense assertions are recorded as plans, normalized so the
         # stored sentence is the one claimed to hold.
         if sentence.tense.form == FUTURE:
@@ -240,9 +239,14 @@ class World:
         return self
 
     def status_of(self, sentence: Sentence) -> str:
-        """Atom-level status under the entailment closure of the facts."""
+        """Atom-level status under the entailment closure of the facts.
+
+        A timeframe outside the subject's lifetime is refused with
+        ``IntervalOutOfLifetime``, as at assertion.
+        """
         kb = self.kb
         kb.check_phrase(sentence.vp)
+        sentence.tense.interval_within(kb.lifetime(sentence.subject))
         negated = sentence.negate()
         supported = None
         for known, klass in self.claims():

@@ -75,12 +75,8 @@ class ProductOracle:
         self.arity = arity
         self.top = kb.top
         self.bottom = kb.bottom
-        verb_ids = [
-            a.id
-            for a in kb.verbs.atoms()
-            if kb.arities.get(a.id) in (None, arity)
-        ]
-        noun_ids = [a.id for a in kb.nouns.atoms()]
+        verb_ids = [v for v in kb.verbs.atoms() if kb.arities.get(v) in (None, arity)]
+        noun_ids = list(kb.nouns.atoms())
         self.universe = [
             VerbPhrase(v, ns, neg)
             for neg in (False, True)

@@ -54,7 +54,7 @@ from vplogic.dsl import (
     RelationStmt,
 )
 from vplogic.errors import Contradiction
-from vplogic.order import KIND_OF, NOUN, PART_OF, Literal, Preorder
+from vplogic.order import KIND_OF, PART_OF
 from vplogic.sentence import (
     FACTUAL,
     FUTURE,
@@ -249,18 +249,17 @@ def test_criterion_2_boolean_algebra():
 
 
 def _random_order(rng, max_atoms=12):
+    """A kb whose noun order is random (labelled, cycles allowed), plus
+    one verb ``v`` to build phrases over it."""
     n = rng.randint(2, max_atoms)
     ids = [f"n{i}" for i in range(n)]
-    order = Preorder(NOUN)
-    for ident in ids:
-        order.add_atom(ident)
-    edges = []
-    for _ in range(rng.randint(0, 2 * n)):
-        lo, hi = rng.choice(ids), rng.choice(ids)
-        label = rng.choice((KIND_OF, PART_OF))
-        order.declare(lo, hi, label)
-        edges.append((ids.index(lo), ids.index(hi)))
-    return order, ids, edges
+    labelled = [
+        (rng.choice(ids), rng.choice(ids), rng.choice((KIND_OF, PART_OF)))
+        for _ in range(rng.randint(0, 2 * n))
+    ]
+    kb = make_kb(labelled, nouns=ids, verbs=["v"])
+    edges = [(ids.index(lo), ids.index(hi)) for lo, hi, _ in labelled]
+    return kb, ids, edges
 
 
 def _random_small_kb(rng, max_per_kind=4):
@@ -282,35 +281,36 @@ def test_criterion_3_order_laws():
     cases = 0
 
     for _ in range(220):  # reflexivity
-        order, ids, _ = _random_order(rng)
+        kb, ids, _ = _random_order(rng)
         cases += 1
         for ident in ids:
-            assert order.leq(ident, ident)
+            assert kb.nouns.leq(ident, ident)
 
     for _ in range(220):  # transitivity against the closure matrix
-        order, ids, edges = _random_order(rng)
+        kb, ids, edges = _random_order(rng)
         cases += 1
         expected = dfs_pairs(len(ids), edges)
         for i, a in enumerate(ids):
             for j, b in enumerate(ids):
-                assert order.leq(a, b) == ((i, j) in expected)
+                assert kb.nouns.leq(a, b) == ((i, j) in expected)
 
-    for _ in range(220):  # contrapositive biconditional
-        order, ids, _ = _random_order(rng)
+    for _ in range(220):  # contrapositive biconditional, on phrases
+        kb, ids, _ = _random_order(rng)
         cases += 1
         for a in ids:
-            assert order.generalizations(a)  # reflexive, so never empty
+            assert kb.nouns.generalizations(a)  # reflexive, so never empty
             for b in ids:
-                neg_b = Literal(order.atom(b), True)
-                neg_a = Literal(order.atom(a), True)
-                assert order.leq(a, b) == order.leq(neg_b, neg_a)
+                neg_a = VerbPhrase("v", (a,), True)
+                neg_b = VerbPhrase("v", (b,), True)
+                assert kb.nouns.leq(a, b) == vp_leq(kb, neg_b, neg_a)
 
-    for _ in range(120):  # double negation involution
-        order, ids, _ = _random_order(rng)
+    for _ in range(120):  # double negation involution, on phrases
+        kb, ids, _ = _random_order(rng)
         cases += 1
-        for a in ids:
-            lit = Literal(order.atom(a))
-            assert lit.negate().negate() == lit
+        for a, b in itertools.product(ids, repeat=2):
+            pa, pb = VerbPhrase("v", (a,)), VerbPhrase("v", (b,))
+            assert pa.negate().negate() == pa
+            assert vp_leq(kb, pa.negate().negate(), pb) == vp_leq(kb, pa, pb)
 
     for _ in range(120):  # product monotonicity
         kb, verbs, nouns = _random_small_kb(rng)

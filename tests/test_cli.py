@@ -2,6 +2,7 @@ import io
 import json
 import os
 import select
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -44,6 +45,31 @@ def machine_record(*argv, **kwargs):
     code, out, err = run_cli(*argv, "--output", "machine", **kwargs)
     lines = [line for line in out.splitlines() if line.strip()]
     return code, [json.loads(line) for line in lines]
+
+
+def _readme_block(heading):
+    """The first fenced block after ``heading`` in README.md."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    fence = text.index("```", text.index(heading))
+    start = text.index("\n", fence) + 1
+    return text[start:text.index("```", start)]
+
+
+def test_readme_examples_run(tmp_path):
+    kb = tmp_path / "kb.vpl"
+    kb.write_text(_readme_block("## Knowledge-base files"))
+    vplogic.load_path(kb)
+    commands = [shlex.split(line)[1:] for line in _readme_block("## CLI").splitlines()]
+    for argv in commands:
+        if argv[0] != "repl":
+            code, out, err = run_cli(argv[0], str(kb), *argv[2:])
+            assert code == 0 and err == "", (argv, out, err)
+    session = _readme_block("A session that walks").splitlines()
+    assert session[0] == "$ vplogic repl kb.vpl"
+    lines = [line for line in session[1:] if not line.startswith("A: ")]
+    code, out, _ = run_cli("repl", str(kb), stdin_text="\n".join(lines) + "\n")
+    assert code == 0
+    assert out.splitlines() == [line for line in session[1:] if line.startswith("A: ")]
 
 
 # -- exit codes ----------------------------------------------------------------
@@ -261,19 +287,24 @@ def test_load_errors_name_their_line(tmp_path, body, error, line, message):
 
 
 def test_timeframe_outside_lifetime_is_refused_at_assertion(tmp_path):
+    # Queries refuse such a timeframe as assertion and render do.
     path = tmp_path / "lifetime.vpl"
     path.write_text(_LIFETIME_KB)
+    refused = "timeframe [90,120] outside lifetime [0,100]"
     code, out, _ = run_cli(
         "repl", str(path),
         stdin_text="! i past eat*apple @ [90,120]\n= i past eat*apple @ [90,120]\n",
     )
     assert code == 0
-    assert out.splitlines() == [
-        "ERR: timeframe [90,120] outside lifetime [0,100] [interval_out_of_lifetime]",
-        "A: unknown",
-    ]
-    code, out, _ = run_cli("check", str(path), '"i past eat*apple @ [90,120]"')
-    assert code == 1 and out.strip() == "unknown"
+    assert out.splitlines() == [f"ERR: {refused} [interval_out_of_lifetime]"] * 2
+    for argv in (
+        ("check", '"i past eat*apple @ [90,120]"'),
+        ("entails", "i past eat*apple @ [90,120]", "i past eat*fruit @ [90,120]"),
+        ("entails", "i past_perfect eat*apple", "i past eat*fruit @ [90,120]"),
+        ("render", "i past eat*apple @ [90,120]"),
+    ):
+        code, out, _ = run_cli(argv[0], str(path), *argv[1:])
+        assert code == 1 and out.strip() == f"no: {refused}", argv
 
 
 def test_identical_inputs_identical_outputs():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +16,11 @@ from vplogic import (
     sentence,
 )
 from vplogic.dialogue import HOW, NO_REFINEMENT, WHICH_KIND, WHICH_PART
-from vplogic.errors import NotFactual, SlotOutOfRange
-from vplogic.sentence import PAST_PERFECT
+from vplogic.errors import Contradiction, NotFactual, SlotOutOfRange
+from vplogic.order import KIND_OF, PART_OF
+from vplogic.sentence import FACTUAL, FUTURE, PAST_PERFECT, PLAN, PRESENT_CONTINUOUS
 
-from oracles import make_kb
+from oracles import dfs_pairs, make_kb
 
 
 @pytest.fixture
@@ -278,6 +281,96 @@ def test_question_on_negated_statement():
     assert [a.text() for a in result.answers] == ["i past_perfect not own*vehicle"]
     for answer in result.answers:
         assert entails(kb, answer, asked)
+
+
+def test_how_skips_verbs_of_another_arity():
+    # lease is a way of owning, but it takes two noun slots, so it does
+    # not refine a one-slot phrase.
+    kb = make_kb(noun_edges=[("house", "property")],
+                 verb_edges=[("buy", "own"), ("lease", "own")])
+    world = World(kb)
+    world.assert_fact(sentence(kb, "i past_perfect buy*house"))
+    world.assert_fact(sentence(kb, "i past_perfect lease*house*house"))
+    result = apply_question(world, HOW, sentence(kb, "i past_perfect own*house"))
+    assert [a.text() for a in result.answers] == ["i past_perfect buy*house"]
+
+
+_Q_NOUNS = [f"n{i}" for i in range(4)]
+_Q_VERBS = [f"v{i}" for i in range(3)]
+
+question_worlds = st.tuples(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                       st.sampled_from([KIND_OF, PART_OF])), max_size=8),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=4),
+    st.lists(st.integers(1, 2), min_size=3, max_size=3),
+    st.sampled_from([PRESENT_CONTINUOUS, FUTURE]),
+    st.lists(st.tuples(st.integers(0, 2), st.lists(st.integers(0, 3), min_size=2, max_size=2),
+                       st.booleans()), min_size=1, max_size=4),
+)
+
+
+def _reference_refinements(world, noun_edges, verb_edges, op, s, slot):
+    """Brute force: every held sentence that swaps the targeted atom for
+    another one related to it along the operator's edges, below it in a
+    positive phrase and above it in a negated one.  Which sentences are
+    held is the world's answer; the status tests check that one."""
+    kb = world.kb
+    vp = s.vp
+    if op == HOW:
+        pool, atom, edges = _Q_VERBS, vp.verb, verb_edges
+    else:
+        label = PART_OF if op == WHICH_PART else KIND_OF
+        pool, atom = _Q_NOUNS, vp.nouns[slot]
+        edges = [(lo, hi) for lo, hi, lab in noun_edges if lab == label]
+    pairs = dfs_pairs(len(pool), edges)
+    i = pool.index(atom)
+    out = []
+    for j, other in enumerate(pool):
+        if other == atom or ((i, j) if vp.negated else (j, i)) not in pairs:
+            continue
+        if op == HOW:
+            if kb.arities.get(other, vp.arity) != vp.arity:
+                continue
+            refined = vp.replace(verb=other)
+        else:
+            refined = vp.replace(slot=slot, noun=other)
+        candidate = Sentence(s.subject, s.tense, refined)
+        if world.status_of(candidate) in (FACTUAL, PLAN):
+            out.append(candidate)
+    return sorted(out, key=lambda c: c.text())
+
+
+@given(question_worlds)
+@settings(max_examples=150, deadline=None)
+def test_apply_question_matches_brute_force(params):
+    noun_edges, verb_edges, arities, form, facts = params
+    kb = make_kb(
+        [(_Q_NOUNS[a], _Q_NOUNS[b], lab) for a, b, lab in noun_edges],
+        [(_Q_VERBS[a], _Q_VERBS[b]) for a, b in verb_edges],
+        nouns=_Q_NOUNS, verbs=_Q_VERBS,
+    )
+    tense = Tense(form)
+    queries = []
+    for verb, arity in zip(_Q_VERBS, arities):
+        for nouns in itertools.product(_Q_NOUNS, repeat=arity):
+            for negated in (False, True):
+                queries.append(Sentence("i", tense, kb.phrase(verb, nouns, negated)))
+    world = World(kb)
+    for v, nouns, negated in facts:
+        phrase = kb.phrase(_Q_VERBS[v], [_Q_NOUNS[n] for n in nouns[:arities[v]]], negated)
+        try:
+            world.assert_fact(Sentence("i", tense, phrase))
+        except Contradiction:
+            pass
+    for s in queries:
+        if world.status_of(s) not in (FACTUAL, PLAN):
+            with pytest.raises(NotFactual):
+                apply_question(world, HOW, s)
+            continue
+        for op in (HOW, WHICH_KIND, WHICH_PART):
+            for slot in range(s.vp.arity):
+                want = _reference_refinements(world, noun_edges, verb_edges, op, s, slot)
+                assert list(apply_question(world, op, s, slot).answers) == want, (op, slot, s)
 
 
 def test_repl_travel_conversation():

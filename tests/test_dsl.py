@@ -11,7 +11,10 @@ from vplogic import (
     Tense,
     TimeInterval,
     VerbPhrase,
+    distribute,
+    expr_text,
     load_text,
+    parse_compound,
     parse_expr,
     parse_kb,
     parse_sentence,
@@ -92,6 +95,32 @@ def test_parse_error_trailing_tokens():
 def test_reserved_word_rejected():
     with pytest.raises(ParseError):
         parse_kb("noun not kind_of vegetable")
+
+
+@pytest.mark.parametrize("text, distributed", [
+    ("i past bake * ( potato and apple )", "(i past bake*potato) AND (i past bake*apple)"),
+    ("i future bake * ( potato or apple )", "(i future bake*potato) OR (i future bake*apple)"),
+    ("i past ( bake and eat ) * potato", "(i past bake*potato) AND (i past eat*potato)"),
+    (
+        "you past_perfect ( fly or drive ) * tokyo * la",
+        "(you past_perfect fly*tokyo*la) OR (you past_perfect drive*tokyo*la)",
+    ),
+])
+def test_parse_compound_round_trip(text, distributed):
+    cp = parse_compound(text)
+    assert cp.text() == text
+    assert parse_compound(cp.text()) == cp
+    assert expr_text(distribute(cp)) == distributed
+
+
+def test_parse_compound_error_position():
+    with pytest.raises(ParseError) as err:
+        parse_compound("i past bake * ( potato xor apple )")
+    assert (err.value.line, err.value.column) == (1, 24)
+    assert err.value.expected == {"and", "or"}
+    with pytest.raises(ParseError) as err:
+        parse_compound("i yesterday ( bake and eat ) * potato")
+    assert (err.value.line, err.value.column) == (1, 3)
 
 
 def test_fact_timeframe_only_for_past():

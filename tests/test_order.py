@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vplogic.errors import KindMismatch, UnknownAtom
-from vplogic.order import KIND_OF, NOUN, PART_OF, WAY_OF, Literal, Preorder, normalize_id
+from vplogic.order import KIND_OF, NOUN, PART_OF, WAY_OF, Preorder, normalize_id
+from vplogic.phrase import VerbPhrase, phrase_leq
 
-from oracles import dfs_pairs
+from oracles import dfs_pairs, make_kb
 
 
 def chain_order(*ids, label=KIND_OF):
@@ -15,10 +16,6 @@ def chain_order(*ids, label=KIND_OF):
     for lo, hi in zip(ids, ids[1:]):
         p.declare(lo, hi, label)
     return p
-
-
-def lit(p, ident, negated=False):
-    return Literal(p.atom(ident), negated)
 
 
 # -- declared examples --------------------------------------------------
@@ -35,7 +32,7 @@ def test_self_edge_is_harmless():
     p.add_atom("a")
     p.declare("a", "a", KIND_OF)
     assert p.leq("a", "a")
-    assert p.generalizations("a") == {lit(p, "a")}
+    assert p.generalizations("a") == {"a"}
 
 
 def test_label_must_match_kind():
@@ -49,10 +46,22 @@ def test_label_must_match_kind():
 def test_unknown_atom():
     p = Preorder(NOUN)
     p.add_atom("a")
-    with pytest.raises(UnknownAtom):
-        p.declare("a", "b", KIND_OF)
-    with pytest.raises(UnknownAtom):
-        p.leq("a", "b")
+    p.add_atom("Hybrid Car")
+    # Never registered, or never normalized: only add_atom normalizes.
+    for unknown in ("b", "Hybrid Car", "A"):
+        with pytest.raises(UnknownAtom):
+            p.declare("a", unknown, KIND_OF)
+        with pytest.raises(UnknownAtom):
+            p.declare(unknown, "a", KIND_OF)
+        with pytest.raises(UnknownAtom):
+            p.leq("a", unknown)
+        with pytest.raises(UnknownAtom):
+            p.leq(unknown, "a")
+        with pytest.raises(UnknownAtom):
+            p.generalizations(unknown)
+        with pytest.raises(UnknownAtom):
+            p.specializations(unknown, KIND_OF)
+    assert p.leq("hybrid_car", "hybrid_car")
 
 
 def test_transitive_chain():
@@ -62,33 +71,31 @@ def test_transitive_chain():
 
 
 def test_contrapositive_negated_query():
-    p = chain_order("hybrid_car", "car")
-    assert p.leq(lit(p, "car", True), lit(p, "hybrid_car", True))
-    assert not p.leq(lit(p, "hybrid_car", True), lit(p, "car", True))
+    # Negation lives on phrases: "never owned a car" entails "never
+    # owned a hybrid car", read off the positive noun order backwards.
+    kb = make_kb([("hybrid_car", "car")], verbs=["own"])
+    never_car = VerbPhrase("own", ("car",), True)
+    never_hybrid = VerbPhrase("own", ("hybrid_car",), True)
+    assert phrase_leq(kb, never_car, never_hybrid)
+    assert not phrase_leq(kb, never_hybrid, never_car)
 
 
 def test_mixed_polarity_is_false():
-    p = chain_order("a", "b")
-    assert not p.leq(lit(p, "a"), lit(p, "b", True))
-    assert not p.leq(lit(p, "a", True), lit(p, "b"))
+    kb = make_kb([("a", "b")], verbs=["v"])
+    pa, pb = VerbPhrase("v", ("a",)), VerbPhrase("v", ("b",))
+    assert not phrase_leq(kb, pa, pb.negate())
+    assert not phrase_leq(kb, pa.negate(), pb)
 
 
 def test_generalizations_chain():
     p = chain_order("orange", "fruit", "food")
-    ids = {l.id for l in p.generalizations("orange")}
-    assert ids == {"orange", "fruit", "food"}
-
-
-def test_generalizations_of_negated_literal():
-    p = chain_order("orange", "fruit", "food")
-    out = p.generalizations(lit(p, "food", True))
-    assert out == {lit(p, "food", True), lit(p, "fruit", True), lit(p, "orange", True)}
+    assert p.generalizations("orange") == {"orange", "fruit", "food"}
 
 
 def test_generalizations_isolated():
     p = Preorder(NOUN)
     p.add_atom("x")
-    assert p.generalizations("x") == {lit(p, "x")}
+    assert p.generalizations("x") == {"x"}
 
 
 def test_specializations_with_label_filter():
@@ -97,31 +104,35 @@ def test_specializations_with_label_filter():
         p.add_atom(ident)
     p.declare("california", "us", PART_OF)
     p.declare("house", "property", KIND_OF)
-    assert lit(p, "california") in p.specializations("us", PART_OF)
-    assert p.specializations("us", KIND_OF) == {lit(p, "us")}
-    assert lit(p, "house") in p.specializations("property", KIND_OF)
+    assert "california" in p.specializations("us", PART_OF)
+    assert p.specializations("us", KIND_OF) == {"us"}
+    assert "house" in p.specializations("property", KIND_OF)
+    assert p.generalizations("california", KIND_OF) == {"california"}
+    with pytest.raises(KindMismatch):
+        p.generalizations("us", WAY_OF)
 
 
 def test_specializations_leaf():
     p = chain_order("leaf_node", "top")
-    assert p.specializations("leaf_node") == {lit(p, "leaf_node")}
+    assert p.specializations("leaf_node") == {"leaf_node"}
 
 
 def test_long_chain_walks_without_recursion():
     n = 5000
     p = chain_order(*(f"n{i}" for i in range(n)))
-    bottom, top = lit(p, "n0"), lit(p, f"n{n - 1}")
+    bottom, top = "n0", f"n{n - 1}"
     assert len(p.generalizations(bottom)) == n
+    assert len(p.generalizations(bottom, KIND_OF)) == n
+    assert len(p.specializations(top)) == n
     assert len(p.specializations(top, KIND_OF)) == n
-    assert len(p.generalizations(top.negate())) == n
-    assert len(p.specializations(bottom.negate())) == n
 
 
 def test_normalization():
     assert normalize_id("Hybrid Car") == "hybrid_car"
     p = Preorder(NOUN)
-    atom = p.add_atom("Laptop Computer")
-    assert atom.id == "laptop_computer"
+    assert p.add_atom("Laptop Computer") == "laptop_computer"
+    assert p.add_atom("laptop_computer") == "laptop_computer"
+    assert p.atoms() == ("laptop_computer",)
 
 
 def test_reserved_ids_rejected():
@@ -163,13 +174,18 @@ def build_order(n, edges):
     return p, ids
 
 
+def build_kb(n, edges):
+    """The same order as the nouns of a kb, with one verb ``v``."""
+    ids = [f"n{i}" for i in range(n)]
+    return make_kb([(ids[lo], ids[hi]) for lo, hi in edges], nouns=ids, verbs=["v"]), ids
+
+
 @given(random_orders)
 @settings(max_examples=200)
 def test_reflexive(params):
     p, ids = build_order(*params)
     for ident in ids:
         assert p.leq(ident, ident)
-        assert p.leq(Literal(p.atom(ident), True), Literal(p.atom(ident), True))
 
 
 @given(random_orders)
@@ -186,22 +202,26 @@ def test_leq_matches_closure_matrix(params):
 @given(random_orders)
 @settings(max_examples=200)
 def test_contrapositive_biconditional(params):
-    p, ids = build_order(*params)
+    # a <= b in the noun order iff not v*b <= not v*a.
+    kb, ids = build_kb(*params)
     for a in ids:
         for b in ids:
-            pos = p.leq(a, b)
-            neg = p.leq(Literal(p.atom(b), True), Literal(p.atom(a), True))
-            assert pos == neg
+            neg_a = VerbPhrase("v", (a,), True)
+            neg_b = VerbPhrase("v", (b,), True)
+            assert kb.nouns.leq(a, b) == phrase_leq(kb, neg_b, neg_a)
 
 
 @given(random_orders)
 @settings(max_examples=100)
 def test_double_negation(params):
-    p, ids = build_order(*params)
-    for ident in ids:
-        for negated in (False, True):
-            literal = Literal(p.atom(ident), negated)
-            assert literal.negate().negate() == literal
+    kb, ids = build_kb(*params)
+    for a in ids:
+        for b in ids:
+            for negated in (False, True):
+                pa = VerbPhrase("v", (a,), negated)
+                pb = VerbPhrase("v", (b,), negated)
+                assert pa.negate().negate() == pa
+                assert phrase_leq(kb, pa.negate().negate(), pb) == phrase_leq(kb, pa, pb)
 
 
 @given(random_orders)
@@ -211,14 +231,8 @@ def test_up_down_sets_match_matrix(params):
     p, ids = build_order(n, edges)
     expected = dfs_pairs(n, edges)
     for i, ident in enumerate(ids):
-        ups = {l.id for l in p.generalizations(ident)}
-        assert ups == {ids[j] for j in range(n) if (i, j) in expected}
-        downs = {l.id for l in p.specializations(ident)}
-        assert downs == {ids[j] for j in range(n) if (j, i) in expected}
-        # A negated literal walks the other way and keeps its sign.
-        negated = Literal(p.atom(ident), True)
-        assert p.generalizations(negated) == {lit(p, d, True) for d in downs}
-        assert p.specializations(negated) == {lit(p, u, True) for u in ups}
+        assert p.generalizations(ident) == {ids[j] for j in range(n) if (i, j) in expected}
+        assert p.specializations(ident) == {ids[j] for j in range(n) if (j, i) in expected}
 
 
 labeled_orders = st.integers(2, 10).flatmap(
@@ -239,7 +253,8 @@ labeled_orders = st.integers(2, 10).flatmap(
 @given(labeled_orders)
 @settings(max_examples=100)
 def test_label_filtered_specializations_match_filtered_matrix(params):
-    # Chains restricted to one label must ignore edges of the other.
+    # Chains restricted to one label must ignore edges of the other, in
+    # both directions.
     n, edges = params
     p = Preorder(NOUN)
     ids = [f"n{i}" for i in range(n)]
@@ -250,8 +265,7 @@ def test_label_filtered_specializations_match_filtered_matrix(params):
     for label in (KIND_OF, PART_OF):
         expected = dfs_pairs(n, [(a, b) for a, b, lab in edges if lab == label])
         for i, ident in enumerate(ids):
-            downs = {l.id for l in p.specializations(ident, label)}
-            assert downs == {ids[j] for j in range(n) if (j, i) in expected}
+            downs = {ids[j] for j in range(n) if (j, i) in expected}
             ups = {ids[j] for j in range(n) if (i, j) in expected}
-            negated = Literal(p.atom(ident), True)
-            assert p.specializations(negated, label) == {lit(p, u, True) for u in ups}
+            assert p.specializations(ident, label) == downs
+            assert p.generalizations(ident, label) == ups

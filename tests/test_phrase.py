@@ -184,8 +184,8 @@ small_kbs = st.tuples(
 @given(small_kbs)
 @settings(max_examples=60)
 def test_product_monotonicity(kb):
-    verbs = [a.id for a in kb.verbs.atoms()]
-    nouns = [a.id for a in kb.nouns.atoms()]
+    verbs = kb.verbs.atoms()
+    nouns = kb.nouns.atoms()
     for v1 in verbs:
         for v2 in verbs:
             if not kb.verbs.leq(v1, v2):

@@ -428,7 +428,13 @@ def test_status_of_matches_temporal_scan(verb_edges, noun_edges, lifetimes, fact
     tenses = {tense(frame) for frame in [None, *frames]}
     tenses |= {known.tense for known, _ in stored}
     for subject in ("i", "you"):
+        lifetime = kb.lifetime(subject)
         for t in tenses:
+            if t.timeframe is not None and not lifetime.contains(t.timeframe):
+                # Refused as a query, as it is at assertion.
+                with pytest.raises(IntervalOutOfLifetime):
+                    w.status_of(Sentence(subject, t, kb.top))
+                continue
             for vp in scan.oracles[1].universe:
                 query = Sentence(subject, t, vp)
                 assert w.status_of(query) == scan.status(stored, query), query
