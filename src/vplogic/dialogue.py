@@ -24,7 +24,7 @@ from . import dsl
 from .inference import apply_step, closure
 from .order import KIND_OF, PART_OF, WAY_OF
 from .phrase import phrase_leq
-from .sentence import FACTUAL, PLAN, Leaf, Sentence, World, supports
+from .sentence import FACTUAL, PLAN, Leaf, Sentence, World
 
 HOW = "how"
 WHICH_PART = "which_part"
@@ -135,9 +135,7 @@ def generate_dialogue(world: World, root_fact: Sentence) -> list[DialogueTurn]:
     kb.check_phrase(root_fact.vp)
     if not _held(world, root_fact):
         raise NotFactual(f"the world does not support {root_fact.text()!r}")
-    ground_pool = [
-        known for known, _ in world.claims() if supports(kb, known, root_fact)
-    ]
+    ground_pool = world.supporters(root_fact)
     ground = _most_specific(kb, ground_pool) if ground_pool else root_fact
     consequences = closure(kb, ground)
     if not consequences.derivations:

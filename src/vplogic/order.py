@@ -59,6 +59,9 @@ class Preorder:
     (``generalizations``, ``specializations``) walk the declared edges.
     Mutation (registering atoms, declaring edges) happens while a
     knowledge base is loaded; afterwards all queries are read-only.
+    ``version`` counts the new edges: it changes exactly when an existing
+    atom's up-set may have grown, so a cache of up-sets keyed on it stays
+    valid while atoms are registered.
     """
 
     def __init__(self, kind: str):
@@ -69,6 +72,7 @@ class Preorder:
         self._up: dict[str, dict[str, set[str]]] = {}
         self._down: dict[str, dict[str, set[str]]] = {}
         self._reach: list[int] | None = None
+        self.version = 0
 
     # -- construction -------------------------------------------------
 
@@ -91,6 +95,7 @@ class Preorder:
         if labels is None:
             labels = self._up[lo][hi] = self._down[hi][lo] = set()
             self._reach = None
+            self.version += 1
         labels.add(label)
         return self
 

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedTense,
     VagueTense,
 )
-from .phrase import VerbPhrase, phrase_leq
+from .phrase import BOTTOM, TOP, VerbPhrase, phrase_leq
 
 if TYPE_CHECKING:
     from .temporal import TimeInterval
@@ -190,17 +190,143 @@ def supports(kb, known: Sentence, claim: Sentence) -> bool:
     )
 
 
+def _as_claim(stored: Sentence, status: str) -> tuple[Sentence, str]:
+    """A stored fact in "this sentence holds" form, with its class."""
+    if status == NOT_FACTUAL:
+        return stored.negate(), FACTUAL
+    return stored, status
+
+
+class _Group:
+    """The stored claims of one subject with one tense, polarity and arity.
+
+    Bit ``i`` of a mask stands for ``claims[i]``.  ``slots`` holds one map
+    per phrase slot (the verb, then each noun) from atom to mask.  A
+    positive claim is filed under every generalization of its atom, so the
+    claims below a positive query are the AND of the masks of its atoms.
+    A negated claim is filed under its own atom only, and negation reverses
+    the order, so the claims below a negated query are the AND over slots
+    of the OR of the masks over its atom's generalizations.  ``bottom``
+    marks the claims that are ``not do*something``.
+    """
+
+    __slots__ = ("claims", "slots", "bottom")
+
+    def __init__(self, arity: int):
+        self.claims: list[tuple[Sentence, str]] = []
+        self.slots: list[dict[str, int]] = [{} for _ in range(arity + 1)]
+        self.bottom = 0
+
+
+def _order_version(kb) -> tuple[int, int]:
+    return kb.verbs.version, kb.nouns.version
+
+
+class _SupportIndex:
+    """Candidate supporters of a claim, found without a scan of all claims.
+
+    Claims are grouped by subject, then by ``(tense, polarity, arity)``.
+    The interval part of ``supports`` depends only on the group's tense, so
+    it is decided once per group; the phrase part is read off the group's
+    masks.  The candidates are a superset of the supporters, so callers
+    confirm each with ``supports``.  The index is valid for the atom orders
+    at ``version``: a new edge may grow the up-sets it was built from.
+    """
+
+    def __init__(self, kb, claims):
+        self.kb = kb
+        self.version = _order_version(kb)
+        self._subjects: dict[str, dict[tuple, _Group]] = {}
+        self._ups: dict[tuple[str, str], set[str]] = {}
+        for known, klass in claims:
+            self.add(known, klass)
+
+    def _slots(self, vp: VerbPhrase):
+        """(atom, generalizations of the atom) for each slot."""
+        kb, ups = self.kb, self._ups
+        orders = (kb.verbs,) + (kb.nouns,) * vp.arity
+        for order, atom in zip(orders, (vp.verb,) + vp.nouns):
+            # Filled by readers too; every thread stores the same set.
+            up = ups.get((order.kind, atom))
+            if up is None:
+                up = ups[order.kind, atom] = order.generalizations(atom)
+            yield atom, up
+
+    def add(self, known: Sentence, klass: str) -> None:
+        vp = known.vp
+        key = (known.tense, vp.negated, vp.arity)
+        groups = self._subjects.setdefault(known.subject, {})
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = _Group(vp.arity)
+        bit = 1 << len(group.claims)
+        group.claims.append((known, klass))
+        for masks, (atom, up) in zip(group.slots, self._slots(vp)):
+            for a in (atom,) if vp.negated else up:
+                masks[a] = masks.get(a, 0) | bit
+        if vp == BOTTOM:
+            group.bottom |= bit
+
+    def _phrase_mask(self, group: _Group, vp: VerbPhrase) -> int:
+        mask = -1
+        for masks, (atom, up) in zip(group.slots, self._slots(vp)):
+            if vp.negated:
+                slot_mask = 0
+                for a in up:
+                    slot_mask |= masks.get(a, 0)
+                mask &= slot_mask
+            else:
+                mask &= masks.get(atom, 0)
+            if not mask:
+                break
+        return mask
+
+    def candidates(self, claim: Sentence):
+        """Stored ``(claim, class)`` pairs that may support ``claim``."""
+        groups = self._subjects.get(claim.subject)
+        if not groups:
+            return
+        vp = claim.vp
+        exists = not vp.negated
+        lifetime = self.kb.lifetime(claim.subject)
+        want = claim.tense.interval(lifetime)
+        for (tense, negated, arity), group in groups.items():
+            if negated != vp.negated:
+                continue
+            # The bounds cross arities: every positive phrase is below
+            # do*something, and not do*something below every negated one.
+            if vp == TOP:
+                mask = (1 << len(group.claims)) - 1
+            else:
+                mask = group.bottom
+                if arity == vp.arity:
+                    mask |= self._phrase_mask(group, vp)
+            if mask and tense != claim.tense:
+                have = tense.interval(lifetime)
+                if have is None or want is None or not have.forces(exists, want, exists):
+                    continue
+            while mask:
+                low = mask & -mask
+                yield group.claims[low.bit_length() - 1]
+                mask ^= low
+
+
 class World:
     """Fact store for one knowledge base.
 
     Single writer, many readers: assertions mutate, every query is
-    read-only.  Consistency is enforced on the way in, so the law audit
-    can never find a violation afterwards.
+    read-only.  An assertion is refused when a stored fact already
+    entails its opposite.  That check compares one stored fact at a time,
+    so a world with no model can still load and pass the law audit with
+    no violation (ROADMAP items 7 and 13).  Queries find their supporters
+    through a support index, which proposes candidates that ``supports``
+    confirms.
     """
 
     def __init__(self, kb):
         self.kb = kb
         self._facts: dict[Sentence, str] = {}
+        self._index = _SupportIndex(kb, ())
 
     def facts(self) -> tuple[tuple[Sentence, str], ...]:
         return tuple(self._facts.items())
@@ -209,10 +335,25 @@ class World:
         """Stored facts normalized to "this sentence holds" form, paired
         with their class (factual or plan)."""
         for stored, status in self._facts.items():
-            if status == NOT_FACTUAL:
-                yield stored.negate(), FACTUAL
-            else:
-                yield stored, status
+            yield _as_claim(stored, status)
+
+    def _support_index(self) -> _SupportIndex:
+        index = self._index
+        if index.version != _order_version(self.kb):
+            index = self._index = _SupportIndex(self.kb, self.claims())
+        return index
+
+    def _supported(self, claim: Sentence):
+        """The stored ``(claim, class)`` pairs that support ``claim``."""
+        kb = self.kb
+        for known, klass in self._support_index().candidates(claim):
+            if supports(kb, known, claim):
+                yield known, klass
+
+    def supporters(self, claim: Sentence) -> list[Sentence]:
+        """Every stored claim that supports ``claim``, found through the
+        support index and confirmed by ``supports``."""
+        return [known for known, _ in self._supported(claim)]
 
     def assert_fact(self, sentence: Sentence, status: str = FACTUAL) -> World:
         if status not in (FACTUAL, NOT_FACTUAL):
@@ -228,14 +369,18 @@ class World:
             if status == NOT_FACTUAL:
                 sentence = sentence.negate()
             status = PLAN
-        claim = sentence if status != NOT_FACTUAL else sentence.negate()
+        claim, klass = _as_claim(sentence, status)
         forced = self.status_of(claim)
         if forced == NOT_FACTUAL:
             raise Contradiction(
                 f"cannot record {sentence.text()!r} as {status}: "
                 "the opposite is already entailed"
             )
-        self._facts[sentence] = status
+        # Re-asserting a stored fact keeps its status: the other status
+        # would have been refused above.
+        if sentence not in self._facts:
+            self._support_index().add(claim, klass)
+            self._facts[sentence] = status
         return self
 
     def status_of(self, sentence: Sentence) -> str:
@@ -247,14 +392,12 @@ class World:
         kb = self.kb
         kb.check_phrase(sentence.vp)
         sentence.tense.interval_within(kb.lifetime(sentence.subject))
-        negated = sentence.negate()
-        supported = None
-        for known, klass in self.claims():
-            if supports(kb, known, negated):
-                return NOT_FACTUAL
-            if supported is None and supports(kb, known, sentence):
-                supported = klass
-        return supported if supported is not None else UNKNOWN
+        if next(self._supported(sentence.negate()), None) is not None:
+            return NOT_FACTUAL
+        # Every supporter of one sentence has the same class: future facts
+        # are plans and only they support a future sentence.
+        found = next(self._supported(sentence), None)
+        return UNKNOWN if found is None else found[1]
 
     def eval(self, expr: SentenceExpr) -> str:
         """Four-valued evaluation.

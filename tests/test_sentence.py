@@ -1,6 +1,9 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from vplogic import (
     FACTUAL,
@@ -29,10 +32,14 @@ from vplogic.errors import (
     UnsupportedTense,
     VagueTense,
 )
+from vplogic.order import KIND_OF, WAY_OF
 from vplogic.sentence import FUTURE, PAST, PAST_PERFECT, PRESENT_CONTINUOUS
 from vplogic.temporal import TimeInterval
 
 from oracles import StatusScan, make_kb
+
+# The package exports a ``sentence`` function, which shadows the module.
+sentence_module = importlib.import_module("vplogic.sentence")
 
 
 @pytest.fixture
@@ -441,3 +448,162 @@ def test_status_of_matches_temporal_scan(verb_edges, noun_edges, lifetimes, fact
                 for known, _ in stored:
                     if known.subject == subject:
                         assert entails(kb, known, query) == scan.supports(known, query)
+
+
+def test_status_of_scans_no_other_facts(monkeypatch):
+    # 2,000 facts on other subjects beside a few on the asked one.  The
+    # index proposes only supporters today, so an answer confirms one
+    # candidate (none for unknown), and no query walks claims().
+    nouns = [f"n{k}" for k in range(50)]
+    kb = make_kb(
+        noun_edges=[("potato", "vegetable"), ("vegetable", "food")],
+        verb_edges=[("bake", "cook")],
+        nouns=nouns,
+    )
+    w = World(kb)
+    forms = (PAST_PERFECT, PRESENT_CONTINUOUS, FUTURE)
+    for k in range(2000):
+        noun = k // 40
+        vp = kb.phrase("bake", [nouns[noun]], negated=noun >= 25)
+        w.assert_fact(Sentence(f"s{k % 40}", Tense(forms[k % 3]), vp))
+    for form in forms:
+        w.assert_fact(s(kb, "bake", "potato", form=form))
+    w.assert_fact(s(kb, "bake", "potato", form=PAST, timeframe=TimeInterval(3, 4)))
+    w.assert_fact(s(kb, "cook", "n3", negated=True))
+    w.assert_fact(s(kb, "bake", "n4", negated=True))
+    w.assert_fact(s(kb, "bake", "n1", form=FUTURE))
+    assert len(w.facts()) == 2007
+
+    calls = {"supports": 0, "claims": 0}
+    real_supports, real_claims = sentence_module.supports, World.claims
+
+    def counting_supports(*args):
+        calls["supports"] += 1
+        return real_supports(*args)
+
+    def counting_claims(self):
+        calls["claims"] += 1
+        return real_claims(self)
+
+    monkeypatch.setattr(sentence_module, "supports", counting_supports)
+    monkeypatch.setattr(World, "claims", counting_claims)
+    expected = [
+        (s(kb, "cook", "food"), FACTUAL),
+        (s(kb, "cook", "vegetable", negated=True), NOT_FACTUAL),
+        (s(kb, "bake", "n3"), NOT_FACTUAL),
+        (s(kb, "cook", "n4"), UNKNOWN),
+        (s(kb, "cook", "vegetable", form=PAST, timeframe=TimeInterval(5, 6)), UNKNOWN),
+        (s(kb, "cook", "n1", form=FUTURE), PLAN),
+        (s(kb, "do", "something"), FACTUAL),
+    ]
+    for query, status in expected:
+        calls["supports"] = 0
+        assert w.status_of(query) == status, query
+        assert calls["supports"] == (status != UNKNOWN), query
+    calls["supports"] = 0
+    assert w.supporters(s(kb, "cook", "food", form=PRESENT_CONTINUOUS)) == [
+        s(kb, "bake", "potato", form=PRESENT_CONTINUOUS)
+    ]
+    assert calls["supports"] == 1
+    assert calls["claims"] == 0
+
+
+_MACHINE_ARITY = {"do": 1, "u": 1, "v": 1, "w": 2, "x": 2}
+# Verb edges stay within one arity, and none leaves a designated atom.
+_MACHINE_VERB_EDGES = (("u", "v"), ("v", "u"), ("u", "do"), ("w", "x"), ("x", "w"))
+_MACHINE_NEW_NOUNS = ("d", "e")
+_MACHINE_LIFETIMES = {"i": TimeInterval(0, 10), "you": TimeInterval(2, 8)}
+
+
+class WorldMachine(RuleBasedStateMachine):
+    """Assertions (contradictions included), new edges and new atoms in
+    any order, with every answer checked against ``StatusScan`` after each
+    step.  A new edge must rebuild the support index; a new atom must not."""
+
+    def __init__(self):
+        super().__init__()
+        self.kb = make_kb(nouns=("a", "b", "c", "something"), verbs=sorted(_MACHINE_ARITY))
+        for verb, arity in _MACHINE_ARITY.items():
+            self.kb.phrase(verb, ["a"] * arity)
+        for subject, lifetime in _MACHINE_LIFETIMES.items():
+            self.kb.set_lifetime(subject, lifetime)
+        self.world = World(self.kb)
+
+    def _index_after_read(self):
+        self.world.status_of(Sentence("i", Tense(PAST_PERFECT), self.kb.top))
+        return self.world._index
+
+    def _draw_sentence(self, data):
+        subject = data.draw(st.sampled_from(sorted(_MACHINE_LIFETIMES)))
+        form = data.draw(st.sampled_from((PAST_PERFECT, FUTURE, PAST)))
+        timeframe = None
+        if form == PAST:
+            lifetime = _MACHINE_LIFETIMES[subject]
+            start = data.draw(st.integers(lifetime.start, lifetime.end))
+            timeframe = TimeInterval(start, data.draw(st.integers(start, lifetime.end)))
+        verb = data.draw(st.sampled_from(sorted(_MACHINE_ARITY)))
+        noun = st.sampled_from(self.kb.nouns.atoms())
+        nouns = [data.draw(noun) for _ in range(_MACHINE_ARITY[verb])]
+        vp = self.kb.phrase(verb, nouns, data.draw(st.booleans()))
+        return Sentence(subject, Tense(form, timeframe), vp)
+
+    @rule(data=st.data(), status=st.sampled_from((FACTUAL, NOT_FACTUAL)))
+    def assert_fact(self, data, status):
+        sentence = self._draw_sentence(data)
+        claim = sentence if status == FACTUAL else sentence.negate()
+        scan = StatusScan(self.kb, arities=(1, 2))
+        refused = scan.status(self.world.facts(), claim) == NOT_FACTUAL
+        try:
+            self.world.assert_fact(sentence, status)
+        except Contradiction:
+            assert refused, sentence
+        else:
+            assert not refused, sentence
+
+    @precondition(lambda self: self.world.facts())
+    @rule(data=st.data())
+    def contradict(self, data):
+        stored, status = data.draw(st.sampled_from(self.world.facts()))
+        with pytest.raises(Contradiction):
+            self.world.assert_fact(stored, FACTUAL if status == NOT_FACTUAL else NOT_FACTUAL)
+
+    @rule(data=st.data())
+    def declare_edge(self, data):
+        before = self._index_after_read()
+        if data.draw(st.booleans()):
+            order = self.kb.verbs
+            lower, upper = data.draw(st.sampled_from(_MACHINE_VERB_EDGES))
+        else:
+            order = self.kb.nouns
+            lower = data.draw(st.sampled_from([n for n in order.atoms() if n != "something"]))
+            upper = data.draw(st.sampled_from([n for n in order.atoms() if n != lower]))
+        new = not order.labels_between(lower, upper)
+        order.declare(lower, upper, KIND_OF if order is self.kb.nouns else WAY_OF)
+        assert (self._index_after_read() is not before) == new
+
+    @precondition(lambda self: any(n not in self.kb.nouns for n in _MACHINE_NEW_NOUNS))
+    @rule()
+    def register_noun(self):
+        before = self._index_after_read()
+        self.kb.nouns.add_atom(next(n for n in _MACHINE_NEW_NOUNS if n not in self.kb.nouns))
+        assert self._index_after_read() is before
+
+    @invariant()
+    def matches_scan(self):
+        scan = StatusScan(self.kb, arities=(1, 2))
+        stored = self.world.facts()
+        phrases = set(scan.oracles[1].universe)
+        phrases |= {vp for vp in scan.oracles[2].universe if set(vp.nouns) <= {"a", "something"}}
+        phrases |= {vp for known, _ in stored for vp in (known.vp, known.vp.negate())}
+        tenses = {Tense(PAST_PERFECT), Tense(FUTURE)} | {known.tense for known, _ in stored}
+        for subject, lifetime in _MACHINE_LIFETIMES.items():
+            for tense in tenses:
+                if tense.timeframe is not None and not lifetime.contains(tense.timeframe):
+                    continue
+                for vp in phrases:
+                    query = Sentence(subject, tense, vp)
+                    assert self.world.status_of(query) == scan.status(stored, query), query
+
+
+WorldMachine.TestCase.settings = settings(max_examples=25, stateful_step_count=10, deadline=None)
+TestWorldMachine = WorldMachine.TestCase
