@@ -18,7 +18,6 @@ from .dsl import (
     load_document,
     load_path,
     load_text,
-    parse_compound,
     parse_expr,
     parse_kb,
     parse_sentence,
@@ -60,7 +59,6 @@ from .sentence import (
     PRESENT_CONTINUOUS,
     UNKNOWN,
     And,
-    CompoundPhrase,
     LawReport,
     Leaf,
     Not,
@@ -70,9 +68,7 @@ from .sentence import (
     Tense,
     World,
     check_laws,
-    distribute,
     expr_text,
-    factor,
     neg,
 )
 from .temporal import (
@@ -81,8 +77,6 @@ from .temporal import (
     TemporalStatement,
     TimeInterval,
     inverse_render,
-    negate_quantified,
-    personal_or,
     render,
     temporal_entails,
 )

@@ -14,9 +14,13 @@ The knowledge-base format is line oriented, one statement per line:
 Identifiers are case-folded; multi-word names use underscores (the
 parser never tokenizes English).  Sentence expressions combine quoted or
 bare sentences with NOT/AND/OR and parentheses, AND binding tighter.
-Parse errors carry 1-based line/column positions pointing at the first
-offending token; an error raised while loading a statement names its
-line.
+A sentence in an expression may also be a compound phrase, two verbs
+over shared nouns or one verb over two nouns, which the parser
+distributes: ``i past_perfect (bake and eat)*potato`` reads as
+``i past_perfect bake*potato AND i past_perfect eat*potato``.  Fact and
+``cond`` lines and standalone sentences take no compound.  Parse errors
+carry 1-based line/column positions pointing at the first offending
+token; an error raised while loading a statement names its line.
 """
 
 from __future__ import annotations
@@ -24,15 +28,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError, ResolutionError, UnknownAtom, VplError
+from .errors import BoundEdge, ParseError, ResolutionError, UnknownAtom, VplError
 from .inference import ConditionalRule
 from .kb import KnowledgeBase
 from .order import KIND_OF, NOUN, PART_OF, RESERVED_IDS, VERB, WAY_OF, normalize_id
-from .phrase import VerbPhrase
+from .phrase import TOP_NOUN, TOP_VERB, VerbPhrase
 from .sentence import (
     TENSE_FORMS,
     And,
-    CompoundPhrase,
     Leaf,
     Or,
     Sentence,
@@ -111,9 +114,6 @@ class _Cursor:
                              expected={wanted})
         self.pos += 1
         return tok
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
 
     def require_done(self) -> None:
         tok = self.peek()
@@ -308,22 +308,37 @@ def _subject_and_form(cursor: _Cursor) -> tuple[str, str]:
 
 
 def _parse_sentence_body(cursor: _Cursor) -> Sentence:
+    (sentence,), _ = _parse_sentences(cursor, compound=False)
+    return sentence
+
+
+def _parse_sentences(cursor: _Cursor, compound: bool) -> tuple[list[Sentence], str | None]:
+    """One sentence, or with ``compound`` also one of the distributable
+    compounds ``subj tense ( verb and|or verb ) * noun {* noun}`` and
+    ``subj tense verb * ( noun and|or noun )``, returned as its two
+    sentences and the connective (None for a plain sentence)."""
     subject, form = _subject_and_form(cursor)
     negated = False
     tok = cursor.peek()
     if tok is not None and tok.kind == "word" and tok.text.casefold() == "not":
         cursor.advance()
         negated = True
-    verb = _identifier(cursor, "verb id")
+    compound = compound and not negated
+    verbs, connective = _alternatives(cursor, "verb id", compound)
     cursor.expect("punct", "*")
-    nouns = [_identifier(cursor, "noun id")]
-    while True:
-        tok = cursor.peek()
-        if tok is not None and tok.kind == "punct" and tok.text == "*":
-            cursor.advance()
-            nouns.append(_identifier(cursor, "noun id"))
-        else:
-            break
+    nouns, noun_connective = _alternatives(cursor, "noun id", compound and connective is None)
+    if noun_connective is not None:
+        # A noun pair stands alone in a single-slot phrase.
+        connective, slots = noun_connective, [(noun,) for noun in nouns]
+    else:
+        while True:
+            tok = cursor.peek()
+            if tok is not None and tok.kind == "punct" and tok.text == "*":
+                cursor.advance()
+                nouns.append(_identifier(cursor, "noun id"))
+            else:
+                break
+        slots = [tuple(nouns)]
     timeframe = None
     tok = cursor.peek()
     if tok is not None and tok.kind == "punct" and tok.text == "@":
@@ -333,7 +348,29 @@ def _parse_sentence_body(cursor: _Cursor) -> Sentence:
             raise ParseError("only plain past takes an explicit timeframe",
                              at_tok.line, at_tok.column)
         timeframe = TimeInterval(start, end)
-    return Sentence(subject, Tense(form, timeframe), VerbPhrase(verb, tuple(nouns), negated))
+    tense = Tense(form, timeframe)
+    sentences = [
+        Sentence(subject, tense, VerbPhrase(verb, slot, negated))
+        for verb in verbs for slot in slots
+    ]
+    return sentences, connective
+
+
+def _alternatives(cursor: _Cursor, what: str, pair: bool) -> tuple[list[str], str | None]:
+    """One id, or with ``pair`` also ``( id and|or id )``, with its connective."""
+    tok = cursor.peek()
+    if not (pair and tok is not None and tok.kind == "punct" and tok.text == "("):
+        return [_identifier(cursor, what)], None
+    cursor.advance()
+    first = _identifier(cursor, what)
+    tok = cursor.expect("word", what="and|or")
+    connective = tok.text.casefold()
+    if connective not in ("and", "or"):
+        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column,
+                         expected={"and", "or"})
+    second = _identifier(cursor, what)
+    cursor.expect("punct", ")")
+    return [first, second], connective
 
 
 def parse_sentence(text: str) -> Sentence:
@@ -351,16 +388,17 @@ def sentence(kb: KnowledgeBase, text: str, lenient: bool = False) -> Sentence:
 
 
 def _resolve_sentence(kb: KnowledgeBase, s: Sentence, lenient: bool) -> Sentence:
-    vp = s.vp
+    """Check a parsed sentence against the knowledge base.  Pins no
+    arity: only an accepted fact or a loaded rule does."""
     if lenient:
-        kb.verbs.add_atom(vp.verb)
-        for noun in vp.nouns:
+        kb.verbs.add_atom(s.vp.verb)
+        for noun in s.vp.nouns:
             kb.nouns.add_atom(noun)
     try:
-        resolved = kb.phrase(vp.verb, vp.nouns, vp.negated)
+        kb.check_phrase(s.vp)
     except UnknownAtom as exc:
         raise ResolutionError(str(exc)) from None
-    return Sentence(s.subject, s.tense, resolved)
+    return s
 
 
 # -- expressions ------------------------------------------------------------
@@ -373,7 +411,10 @@ def parse_expr(text: str, kb: KnowledgeBase | None = None) -> SentenceExpr:
 
     AND binds tighter than OR, both associate left, NOT tightest.
     Sentences appear quoted or bare; bare sentences run until a
-    connective or a closing parenthesis.
+    connective or a closing parenthesis outside a compound.  A compound
+    ``subj tense ( verb and|or verb ) * noun {* noun}`` or
+    ``subj tense verb * ( noun and|or noun )`` becomes the AND or OR of
+    its two sentences, each resolved as a leaf of its own.
     """
     tokens = _tokenize(text)
     cursor = _Cursor(tokens, 1, len(text) + 1)
@@ -423,25 +464,31 @@ def _parse_term(cursor: _Cursor, kb) -> SentenceExpr:
         cursor.advance()
         inner = _tokenize(tok.text[1:-1], tok.line, tok.column)
         sub = _Cursor(inner, tok.line, tok.column + len(tok.text))
-        parsed = _parse_sentence_body(sub)
-        sub.require_done()
-        return Leaf(_maybe_resolve(kb, parsed, tok))
-    # Bare sentence: swallow tokens until a connective or ')'.
-    taken = []
-    while True:
-        tok = cursor.peek()
-        if tok is None or _keyword(tok) in ("and", "or") or (
-            tok.kind == "punct" and tok.text == ")"
-        ):
-            break
-        taken.append(cursor.advance())
-    if not taken:
-        raise ParseError("expected a sentence", cursor.line,
-                         tok.column if tok else cursor.end_column)
-    sub = _Cursor(taken, taken[0].line, taken[-1].column + len(taken[-1].text))
-    parsed = _parse_sentence_body(sub)
+    else:
+        # Bare sentence: swallow tokens until a connective or ')' outside
+        # a compound's parentheses.
+        taken = []
+        depth = 0
+        while True:
+            tok = cursor.peek()
+            if tok is None or (depth == 0 and (
+                _keyword(tok) in ("and", "or") or (tok.kind == "punct" and tok.text == ")")
+            )):
+                break
+            if tok.kind == "punct" and tok.text in ("(", ")"):
+                depth += 1 if tok.text == "(" else -1
+            taken.append(cursor.advance())
+        if not taken:
+            raise ParseError("expected a sentence", cursor.line,
+                             tok.column if tok else cursor.end_column)
+        tok = taken[0]
+        sub = _Cursor(taken, tok.line, taken[-1].column + len(taken[-1].text))
+    sentences, connective = _parse_sentences(sub, compound=True)
     sub.require_done()
-    return Leaf(_maybe_resolve(kb, parsed, taken[0]))
+    leaves = [Leaf(_maybe_resolve(kb, s, tok)) for s in sentences]
+    if connective is None:
+        return leaves[0]
+    return (And if connective == "and" else Or)(*leaves)
 
 
 def _maybe_resolve(kb, parsed: Sentence, tok: Token) -> Sentence:
@@ -451,52 +498,6 @@ def _maybe_resolve(kb, parsed: Sentence, tok: Token) -> Sentence:
         return _resolve_sentence(kb, parsed, lenient=False)
     except ResolutionError as exc:
         raise ResolutionError(f"{exc} (line {tok.line}, column {tok.column})") from None
-
-
-# -- compound phrases --------------------------------------------------------
-
-
-def parse_compound(text: str) -> CompoundPhrase:
-    """Parse one of the four distributable compound shapes:
-    ``subj tense verb * ( noun and|or noun )`` or
-    ``subj tense ( verb and|or verb ) * noun {* noun}``."""
-    tokens = _tokenize(text)
-    cursor = _Cursor(tokens, 1, len(text) + 1)
-    subject, form = _subject_and_form(cursor)
-    tense = Tense(form)
-    tok = cursor.peek()
-    if tok is not None and tok.kind == "punct" and tok.text == "(":
-        cursor.advance()
-        first_verb = _identifier(cursor, "verb id")
-        connective = _connective(cursor)
-        second_verb = _identifier(cursor, "verb id")
-        cursor.expect("punct", ")")
-        cursor.expect("punct", "*")
-        nouns = [_identifier(cursor, "noun id")]
-        while not cursor.done():
-            cursor.expect("punct", "*")
-            nouns.append(_identifier(cursor, "noun id"))
-        cursor.require_done()
-        return CompoundPhrase(subject, tense, (first_verb, second_verb),
-                              tuple(nouns), connective)
-    verb = _identifier(cursor, "verb id")
-    cursor.expect("punct", "*")
-    cursor.expect("punct", "(")
-    first = _identifier(cursor, "noun id")
-    connective = _connective(cursor)
-    second = _identifier(cursor, "noun id")
-    cursor.expect("punct", ")")
-    cursor.require_done()
-    return CompoundPhrase(subject, tense, (verb,), (first, second), connective)
-
-
-def _connective(cursor: _Cursor) -> str:
-    tok = cursor.expect("word", what="and|or")
-    word = tok.text.casefold()
-    if word not in ("and", "or"):
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column,
-                         expected={"and", "or"})
-    return word
 
 
 # -- serialization ------------------------------------------------------------
@@ -570,7 +571,11 @@ def load_document(doc: KbDocument, lenient: bool = False) -> tuple[KnowledgeBase
 
 def _load_statement(kb: KnowledgeBase, world: World, stmt, lenient: bool) -> None:
     if isinstance(stmt, RelationStmt):
-        order = kb.nouns if stmt.kind == NOUN else kb.verbs
+        order, top = (kb.nouns, TOP_NOUN) if stmt.kind == NOUN else (kb.verbs, TOP_VERB)
+        if stmt.lower == top:
+            # The phrase bounds hold beside the declared edges, so an edge
+            # out of one would break transitivity; edges into them are fine.
+            raise BoundEdge(f"no edge may leave the {stmt.kind} {top!r}, a phrase bound")
         order.declare(order.add_atom(stmt.lower), order.add_atom(stmt.upper), stmt.label)
     elif isinstance(stmt, IsoStmt):
         kb.add_iso(stmt.verb, stmt.category)
@@ -581,8 +586,9 @@ def _load_statement(kb: KnowledgeBase, world: World, stmt, lenient: bool) -> Non
     elif isinstance(stmt, FactStmt):
         world.assert_fact(_resolve_sentence(kb, stmt.sentence, lenient))
     else:
-        resolved = _resolve_sentence(kb, stmt.sentence, lenient)
-        kb.add_rule(ConditionalRule(stmt.antecedent, resolved))
+        consequent = _resolve_sentence(kb, stmt.sentence, lenient)
+        kb.pin_arity(consequent.vp)
+        kb.add_rule(ConditionalRule(stmt.antecedent, consequent))
 
 
 def load_text(source: str, lenient: bool = False) -> tuple[KnowledgeBase, World]:

@@ -57,8 +57,8 @@ class SlotOutOfRange(VplError):
     """A noun-slot index is missing or outside the phrase's arity."""
 
 
-class UnsupportedShape(VplError):
-    """The compound phrase is not one of the distributable shapes."""
+class BoundEdge(VplError):
+    """A declared edge leaves ``do`` or ``something``, the phrase bounds."""
 
 
 class OutOfRange(VplError):

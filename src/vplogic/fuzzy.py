@@ -44,12 +44,6 @@ class AdverbScale:
         if not cuts or cuts[-1] != 0.0 or any(a <= b for a, b in zip(cuts, cuts[1:])):
             raise ValueError("thresholds must strictly descend and end at 0")
 
-    def bucket_index(self, degree: float) -> int:
-        for i, (cut, _) in enumerate(self.thresholds):
-            if degree >= cut:
-                return len(self.thresholds) - 1 - i
-        raise OutOfRange(f"degree must lie in [0, 1], got {degree}")
-
 
 DEFAULT_SCALE = AdverbScale()
 

@@ -28,10 +28,10 @@ BOUND = "bound"
 
 @dataclass(frozen=True, slots=True)
 class ConditionalRule:
-    """If <antecedent> then <consequent>.  The antecedent is either an
-    opaque text label or a sentence; only the consequent is reasoned on."""
+    """If <antecedent> then <consequent>.  The antecedent is an opaque
+    text label; only the consequent is reasoned on."""
 
-    antecedent: str | Sentence
+    antecedent: str
     consequent: Sentence
 
 

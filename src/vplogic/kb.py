@@ -36,12 +36,13 @@ class KnowledgeBase:
     # -- phrase construction and validation ------------------------------
 
     def phrase(self, verb: str, nouns, negated: bool = False) -> VerbPhrase:
-        """Build a validated phrase and pin the verb's arity."""
+        """Build a validated phrase and pin the verb's arity, as an
+        accepted fact does."""
         vp = VerbPhrase(
             normalize_id(verb), tuple(normalize_id(n) for n in nouns), negated
         )
         self.check_phrase(vp)
-        self.arities.setdefault(vp.verb, vp.arity)
+        self.pin_arity(vp)
         return vp
 
     def check_phrase(self, vp: VerbPhrase) -> None:
@@ -55,6 +56,11 @@ class KnowledgeBase:
             raise ArityMismatch(
                 f"verb {vp.verb!r} takes {known} noun slot(s), got {vp.arity}"
             )
+
+    def pin_arity(self, vp: VerbPhrase) -> None:
+        """Fix the verb's arity at the phrase's, unless already pinned.
+        Accepted facts and loaded rules pin; queries never do."""
+        self.arities.setdefault(vp.verb, vp.arity)
 
     # -- isomorphisms and degrees ----------------------------------------
 

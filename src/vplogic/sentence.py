@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from .errors import (
     Contradiction,
     IntervalOutOfLifetime,
-    UnsupportedShape,
     UnsupportedTense,
     VagueTense,
 )
@@ -318,7 +317,8 @@ class World:
     read-only.  An assertion is refused when a stored fact already
     entails its opposite.  That check compares one stored fact at a time,
     so a world with no model can still load and pass the law audit with
-    no violation (ROADMAP items 7 and 13).  Queries find their supporters
+    no violation (ROADMAP item 7).  An accepted fact pins its verb's
+    arity; queries pin nothing.  Queries find their supporters
     through a support index, which proposes candidates that ``supports``
     confirms.
     """
@@ -381,6 +381,7 @@ class World:
         if sentence not in self._facts:
             self._support_index().add(claim, klass)
             self._facts[sentence] = status
+        self.kb.pin_arity(sentence.vp)
         return self
 
     def status_of(self, sentence: Sentence) -> str:
@@ -433,86 +434,6 @@ def _value(expr: SentenceExpr, statuses, plan_value: float) -> float:
     left = _value(expr.left, statuses, plan_value)
     right = _value(expr.right, statuses, plan_value)
     return min(left, right) if isinstance(expr, And) else max(left, right)
-
-
-# -- linguistic compounds ----------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class CompoundPhrase:
-    """One of the four distributable shapes.
-
-    Two verbs sharing one noun list (``i past (bake and eat)*potato``) or
-    one verb with two alternative nouns (``i past bake*(potato and
-    apple)``); the connective is "and" or "or".
-    """
-
-    subject: str
-    tense: Tense
-    verbs: tuple[str, ...]
-    nouns: tuple[str, ...]
-    connective: str
-
-    def text(self) -> str:
-        if len(self.verbs) == 2:
-            body = (
-                f"( {self.verbs[0]} {self.connective} {self.verbs[1]} ) * "
-                + " * ".join(self.nouns)
-            )
-        else:
-            body = f"{self.verbs[0]} * ( {self.nouns[0]} {self.connective} {self.nouns[1]} )"
-        return f"{self.subject} {self.tense.text()} {body}"
-
-
-def _compound_sentences(cp: CompoundPhrase) -> tuple[Sentence, Sentence]:
-    if cp.connective not in ("and", "or"):
-        raise UnsupportedShape(f"connective must be and/or, got {cp.connective!r}")
-    if len(cp.verbs) == 2 and len(cp.nouns) >= 1:
-        first = Sentence(cp.subject, cp.tense, VerbPhrase(cp.verbs[0], cp.nouns))
-        second = Sentence(cp.subject, cp.tense, VerbPhrase(cp.verbs[1], cp.nouns))
-    elif len(cp.verbs) == 1 and len(cp.nouns) == 2:
-        first = Sentence(cp.subject, cp.tense, VerbPhrase(cp.verbs[0], (cp.nouns[0],)))
-        second = Sentence(cp.subject, cp.tense, VerbPhrase(cp.verbs[0], (cp.nouns[1],)))
-    else:
-        raise UnsupportedShape(
-            "a compound joins exactly two verbs over shared nouns "
-            "or one verb over exactly two nouns"
-        )
-    return first, second
-
-
-def distribute(cp: CompoundPhrase) -> SentenceExpr:
-    """Rewrite a compound phrase into the matching two-sentence connective."""
-    first, second = _compound_sentences(cp)
-    node = And if cp.connective == "and" else Or
-    return node(Leaf(first), Leaf(second))
-
-
-def factor(expr: SentenceExpr) -> CompoundPhrase:
-    """Inverse of ``distribute``: recombine when the verbs or nouns match."""
-    if isinstance(expr, And):
-        connective = "and"
-    elif isinstance(expr, Or):
-        connective = "or"
-    else:
-        raise UnsupportedShape("only a single AND/OR of two sentences factors")
-    left, right = expr.left, expr.right
-    if not (isinstance(left, Leaf) and isinstance(right, Leaf)):
-        raise UnsupportedShape("only a single AND/OR of two sentences factors")
-    a, b = left.sentence, right.sentence
-    if a.subject != b.subject or a.tense != b.tense:
-        raise UnsupportedShape("subject and tense must match to factor")
-    if a.vp.negated or b.vp.negated:
-        raise UnsupportedShape("negated sentences do not factor")
-    if a.vp.verb != b.vp.verb and a.vp.nouns == b.vp.nouns:
-        return CompoundPhrase(a.subject, a.tense, (a.vp.verb, b.vp.verb), a.vp.nouns, connective)
-    if a.vp.verb == b.vp.verb and a.vp.nouns != b.vp.nouns:
-        if a.vp.arity != 1 or b.vp.arity != 1:
-            raise UnsupportedShape("noun compounds factor only for single-slot phrases")
-        return CompoundPhrase(
-            a.subject, a.tense, (a.vp.verb,), (a.vp.nouns[0], b.vp.nouns[0]), connective
-        )
-    raise UnsupportedShape("sentences share neither their verb nor their nouns")
 
 
 # -- law audit ----------------------------------------------------------

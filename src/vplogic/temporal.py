@@ -11,15 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    NonCanonicalForm,
-    NotEntailed,
-    SubjectMismatch,
-    UnsupportedTense,
-)
-from .order import WAY_OF
+from .errors import NonCanonicalForm, SubjectMismatch, UnsupportedTense
 from .phrase import VerbPhrase, phrase_leq
-from .sentence import FUTURE, PAST, PAST_PERFECT, Leaf, Or, Sentence, Tense
+from .sentence import PAST, PAST_PERFECT, Sentence, Tense
 
 EXISTS = "exists"
 FORALL = "forall"
@@ -54,9 +48,6 @@ class TimeInterval:
         if other_exists:
             return self.overlaps(other)
         return self.contains(other)
-
-    def points(self) -> range:
-        return range(self.start, self.end + 1)
 
     def text(self) -> str:
         return f"[{self.start},{self.end}]"
@@ -125,12 +116,6 @@ def inverse_render(ts: TemporalStatement, lifetime: TimeInterval) -> Sentence:
     return Sentence(ts.subject, tense, ts.vp)
 
 
-def negate_quantified(ts: TemporalStatement) -> TemporalStatement:
-    """Quantifier negation: swap exists/forall and flip the phrase."""
-    quantifier = FORALL if ts.quantifier == EXISTS else EXISTS
-    return TemporalStatement(quantifier, ts.interval, ts.subject, ts.vp.negate())
-
-
 def temporal_entails(kb, a: TemporalStatement, b: TemporalStatement) -> bool:
     """Entailment between quantified statements over one subject: the
     phrase order together with ``TimeInterval.forces``."""
@@ -141,38 +126,3 @@ def temporal_entails(kb, a: TemporalStatement, b: TemporalStatement) -> bool:
     return phrase_leq(kb, a.vp, b.vp) and a.interval.forces(
         a.quantifier == EXISTS, b.interval, b.quantifier == EXISTS
     )
-
-
-def personal_or(kb, premises, acceptances, tense: Tense | None = None) -> list:
-    """Per-person disjunctions from a pair of order premises.
-
-    ``premises`` is a list of declared edges ``(lower, upper, label)``
-    containing exactly one verb edge; the noun edges fill the phrase
-    slots in order.  ``acceptances`` maps each subject to the premises
-    that subject accepts; whoever accepts them all gets the disjunction
-    "has done the general thing OR has never done the specific thing".
-    """
-    tense = tense or Tense(PAST_PERFECT)
-    if tense.form == FUTURE:
-        raise UnsupportedTense("per-person disjunctions talk about experience, not plans")
-    verb_edges = [e for e in premises if e[0] in kb.verbs and e[2] == WAY_OF]
-    noun_edges = [e for e in premises if e not in verb_edges]
-    if len(verb_edges) != 1 or not noun_edges:
-        raise ValueError("premises must contain exactly one verb edge and noun edges")
-    for lo, hi, label in premises:
-        order = kb.verbs if (lo, hi, label) in verb_edges else kb.nouns
-        if label not in order.labels_between(lo, hi):
-            raise NotEntailed(f"premise {lo} {label} {hi} is not declared")
-    v_lo, v_hi, _ = verb_edges[0]
-    specific = kb.phrase(v_lo, tuple(e[0] for e in noun_edges))
-    general = kb.phrase(v_hi, tuple(e[1] for e in noun_edges))
-    needed = set(premises)
-    out = []
-    for subject in sorted(acceptances):
-        accepted = set(acceptances[subject])
-        if not needed <= accepted:
-            continue
-        to = Sentence(subject, tense, general)
-        frm = Sentence(subject, tense, specific)
-        out.append((subject, Or(Leaf(to), Leaf(frm.negate()))))
-    return out

@@ -222,7 +222,7 @@ def _constraint(stmt, negate=False):
     The value is what the statement requires of "the core was performed
     at t"; negating a statement flips both the quantifier and the value.
     """
-    pts = frozenset(stmt.interval.points())
+    pts = frozenset(range(stmt.interval.start, stmt.interval.end + 1))
     value = 0 if stmt.vp.negated else 1
     forall = stmt.quantifier == "forall"
     if negate:

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -107,6 +108,132 @@ def test_check_exit_codes():
     assert code == 1 and out.strip() == "unknown"
     code, out, _ = run_cli("check", HOUSING, '"i future own*property*us"')
     assert code == 0 and out.strip() == "plan"
+
+
+_KITCHEN_KB = (
+    "noun potato kind_of vegetable\nnoun apple kind_of fruit\n"
+    "verb bake way_of cook\nverb eat way_of consume\n"
+    "fact i past_perfect bake*potato\nfact i past_perfect bake*apple\n"
+)
+
+
+@pytest.mark.parametrize("expr, value", [
+    ('"i past_perfect cook*(vegetable and fruit)"', "factual"),
+    ("i past_perfect cook * ( vegetable and fruit )", "factual"),
+    ('"i past_perfect (bake and cook)*potato"', "factual"),
+    ('"i past_perfect (bake and eat)*potato"', "unknown"),
+    ('"i past_perfect (bake or eat)*potato"', "factual"),
+    ('NOT "i past_perfect (bake and eat)*potato"', "unknown"),
+    ('"i past_perfect consume*(vegetable or fruit)" OR "i past_perfect bake*potato"',
+     "factual"),
+])
+def test_check_distributes_compound_phrases(tmp_path, expr, value):
+    # "I have baked potatoes and apples" answers "have I cooked vegetables
+    # and fruit?", one conjunct per fact.
+    path = tmp_path / "kitchen.vpl"
+    path.write_text(_KITCHEN_KB)
+    code, out, err = run_cli("check", str(path), expr)
+    assert (code, out.strip(), err) == (0 if value == "factual" else 1, value, "")
+
+
+def test_malformed_compound_is_a_positioned_usage_error(tmp_path):
+    path = tmp_path / "kitchen.vpl"
+    path.write_text(_KITCHEN_KB)
+    code, out, err = run_cli("check", str(path), '"i past_perfect (bake xor eat)*potato"')
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        "error: line 1, column 23: unexpected 'xor' (expected and, or)"
+    )
+    code, _, err = run_cli("check", str(path), '"i past_perfect (bake and stew)*potato"')
+    assert code == 2 and err.strip() == (
+        "error: unknown verb: 'stew' (line 1, column 1)"
+    )
+    # A fact line takes no compound.
+    path.write_text(_KITCHEN_KB + "fact i past_perfect (bake and eat)*potato\n")
+    code, _, err = run_cli("laws", str(path))
+    assert code == 2 and "line 7, column 21: unexpected '('" in err
+
+
+@pytest.mark.parametrize("source, line", [
+    (  # noun edge: do*pear <= do*something <= do*car
+        "noun pear kind_of food\nnoun something part_of car\n"
+        "fact i past_perfect not do*car\nfact i past_perfect do*pear\n", 2,
+    ),
+    (  # verb edge: eat*pear <= do*something <= act*something
+        "noun pear kind_of fruit\nverb eat way_of consume\nverb do way_of act\n"
+        "fact i past_perfect eat*pear\nfact i past_perfect not act*something\n", 3,
+    ),
+    (  # across arities: eat*apple*apple <= do*something <= do*fruit
+        "noun apple kind_of fruit\nverb eat way_of consume\n"
+        "noun something kind_of fruit\n", 3,
+    ),
+], ids=["noun_edge", "verb_edge", "across_arities"])
+def test_no_edge_leaves_a_phrase_bound(tmp_path, source, line):
+    path = tmp_path / "bound.vpl"
+    path.write_text(source)
+    code, out, err = run_cli("laws", str(path))
+    assert code == 2 and out == ""
+    assert "a phrase bound" in err and err.strip().endswith(f"(line {line})")
+    # Edges into the bounds stay legal.
+    path.write_text("noun fruit kind_of something\nverb consume way_of do\n")
+    code, out, _ = run_cli("laws", str(path))
+    assert code == 0 and out.strip() == "violations: 0"
+
+
+_ARITY_KB = (
+    "noun house kind_of property\nverb buy way_of own\nfact i past_perfect buy*house\n"
+)
+
+
+def test_repl_answers_do_not_depend_on_question_order(tmp_path):
+    path = tmp_path / "arity.vpl"
+    path.write_text(_ARITY_KB)
+    two, one = "= i past_perfect own*house*house", "= i past_perfect own*house"
+    _, out, _ = run_cli("repl", str(path), stdin_text=f"{two}\n{one}\n")
+    assert out.splitlines() == ["A: unknown", "A: factual"]
+    _, out, _ = run_cli("repl", str(path), stdin_text=f"{one}\n{two}\n")
+    assert out.splitlines() == ["A: factual", "A: unknown"]
+    # An accepted fact pins its verb's arity; a refused one does not.
+    _, out, _ = run_cli("repl", str(path), stdin_text=(
+        "! i past_perfect not own*property\n"
+        "! i past_perfect own*house*house\n"
+        f"{one}\n"
+    ))
+    assert out.splitlines() == [
+        "ERR: I cannot accept that, it contradicts what I already hold [contradiction]",
+        "A: noted",
+        "ERR: verb 'own' takes 2 noun slot(s), got 1 [arity_mismatch]",
+    ]
+
+
+def test_queries_leave_arities_unchanged(tmp_path, monkeypatch):
+    # Facts and cond lines pin arities; no fact uses sell or trade.
+    path = tmp_path / "arity.vpl"
+    path.write_text(
+        _ARITY_KB + "verb sell way_of trade\n"
+        'cond "if rich" => i future own*house*house\n'
+    )
+    loaded = []
+    load_path = vplogic.dsl.load_path
+
+    def spy(*args, **kwargs):
+        kb, world = load_path(*args, **kwargs)
+        loaded.append((kb, dict(kb.arities)))
+        return kb, world
+
+    monkeypatch.setattr(vplogic.dsl, "load_path", spy)
+    for argv, stdin in [
+        (("check", '"i past_perfect (sell and trade)*house"'), ""),
+        (("entails", "i past_perfect sell*house", "i past_perfect trade*property"), ""),
+        (("closure", "i past_perfect sell*house*house"), ""),
+        (("ask", "how", "i past_perfect do*something"), ""),
+        (("repl",), "= i past_perfect sell*house*house\n= i past_perfect sell*house\n"),
+    ]:
+        code, out, err = run_cli(argv[0], str(path), *argv[1:], stdin_text=stdin)
+        assert code in (0, 1) and err == "", (argv, out, err)
+        kb, after_load = loaded[-1]
+        assert after_load == {"do": 1, "buy": 1, "own": 2}
+        assert kb.arities == after_load, argv
 
 
 def test_render_uses_subject_lifetime(tmp_path):
@@ -434,3 +561,22 @@ def test_closure_machine_steps():
         "verb_general", "noun_general", "noun_general",
     ]
     assert all({"rule", "premise", "slot"} == set(s) for s in top["steps"])
+
+
+# -- benchmark hooks ----------------------------------------------------------------
+
+
+def test_benchmark_hooks_find_their_targets():
+    # vplbench/spans.py wraps engine functions by name and silently drops
+    # the metric of a hook whose target is gone, so a rename must show here.
+    path = Path(__file__).parents[1] / "vplbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("vplbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    hooks = spans.install(lambda: 0)
+    try:
+        assert hooks.missing == []
+    finally:
+        hooks.off()
+    assert not hasattr(vplogic.dsl.parse_expr, "__wrapped__")
+    assert not hasattr(vplogic.World.status_of, "__wrapped__")

@@ -11,10 +11,8 @@ from vplogic import (
     Tense,
     TimeInterval,
     VerbPhrase,
-    distribute,
     expr_text,
     load_text,
-    parse_compound,
     parse_expr,
     parse_kb,
     parse_sentence,
@@ -105,22 +103,62 @@ def test_reserved_word_rejected():
         "you past_perfect ( fly or drive ) * tokyo * la",
         "(you past_perfect fly*tokyo*la) OR (you past_perfect drive*tokyo*la)",
     ),
+    (
+        "i past ( bake or eat ) * potato @ [3,4]",
+        "(i past bake*potato @ [3,4]) OR (i past eat*potato @ [3,4])",
+    ),
 ])
 def test_parse_compound_round_trip(text, distributed):
-    cp = parse_compound(text)
-    assert cp.text() == text
-    assert parse_compound(cp.text()) == cp
-    assert expr_text(distribute(cp)) == distributed
+    # Quoted or bare, a compound distributes into two leaves, and the
+    # rendered expression parses back to it.
+    expr = parse_expr(text)
+    assert parse_expr(f'"{text}"') == expr
+    assert expr_text(expr) == distributed
+    assert parse_expr(expr_text(expr)) == expr
 
 
 def test_parse_compound_error_position():
     with pytest.raises(ParseError) as err:
-        parse_compound("i past bake * ( potato xor apple )")
+        parse_expr("i past bake * ( potato xor apple )")
     assert (err.value.line, err.value.column) == (1, 24)
     assert err.value.expected == {"and", "or"}
     with pytest.raises(ParseError) as err:
-        parse_compound("i yesterday ( bake and eat ) * potato")
+        parse_expr("i yesterday ( bake and eat ) * potato")
     assert (err.value.line, err.value.column) == (1, 3)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("i past not ( bake and eat ) * potato", 12),  # no negated compound
+    ("i past ( bake and eat ) * ( potato and apple )", 27),  # one pair only
+    ("i past bake * ( potato and apple ) * x", 36),  # a noun pair stands alone
+    ("i past bake * x * ( potato and apple )", 19),
+    ("i past ( bake and eat and cook ) * potato", 23),  # exactly two
+    ("i past ( bake ) * potato", 15),
+])
+def test_other_compound_shapes_are_refused(text, column):
+    for source, shift in ((text, 0), (f'"{text}"', 1), (f"NOT ( {text} )", 6)):
+        with pytest.raises(ParseError) as err:
+            parse_expr(source)
+        assert (err.value.line, err.value.column) == (1, column + shift), source
+
+
+def test_compounds_only_in_expressions():
+    with pytest.raises(ParseError) as err:
+        parse_sentence("i past_perfect ( bake and eat ) * potato")
+    assert (err.value.column, err.value.expected) == (16, {"verb id"})
+    with pytest.raises(ParseError) as err:
+        parse_kb("noun potato kind_of vegetable\nfact i past_perfect bake * ( potato and x )")
+    assert (err.value.line, err.value.column) == (2, 28)
+
+
+def test_compound_leaves_resolve_with_their_position():
+    kb, _ = load_text("noun potato kind_of vegetable\nverb bake way_of cook")
+    expr = parse_expr('"i past bake*potato" OR i past ( bake and cook ) * potato', kb)
+    assert isinstance(expr.right, And)
+    with pytest.raises(ResolutionError, match=r"'eat'.*\(line 1, column 25\)"):
+        parse_expr('"i past bake*potato" OR i past ( bake and eat ) * potato', kb)
+    with pytest.raises(ResolutionError, match=r"'apple'.*\(line 1, column 5\)"):
+        parse_expr('NOT "i past bake * ( potato or apple )"', kb)
 
 
 def test_fact_timeframe_only_for_past():

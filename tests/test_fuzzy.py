@@ -65,8 +65,12 @@ def test_adverb_out_of_range():
 @given(st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=200)
 def test_adverb_monotone(a, b):
+    # A higher degree never lands in a lower bucket; the thresholds run
+    # from the top bucket down.
+    adverbs = [adverb for _, adverb in DEFAULT_SCALE.thresholds]
     if a >= b:
-        assert DEFAULT_SCALE.bucket_index(a) >= DEFAULT_SCALE.bucket_index(b)
+        assert adverbs.index(adverb_for(DEFAULT_SCALE, a)) <= adverbs.index(
+            adverb_for(DEFAULT_SCALE, b))
 
 
 def test_bad_scale_rejected():

@@ -11,7 +11,6 @@ from vplogic import (
     PLAN,
     UNKNOWN,
     And,
-    CompoundPhrase,
     Leaf,
     Not,
     Or,
@@ -19,16 +18,15 @@ from vplogic import (
     Tense,
     World,
     check_laws,
-    distribute,
     entails,
     expr_text,
-    factor,
     neg,
 )
+from vplogic.dsl import parse_expr
 from vplogic.errors import (
     Contradiction,
+    ParseError,
     IntervalOutOfLifetime,
-    UnsupportedShape,
     UnsupportedTense,
     VagueTense,
 )
@@ -208,81 +206,52 @@ def test_eval_only_refines_as_facts_arrive(picks, i, j):
             assert later == earlier
 
 
-# -- distribute / factor --------------------------------------------------
-
-
-def compound(kb, verbs, nouns, connective):
-    return CompoundPhrase("i", Tense(PAST), tuple(verbs), tuple(nouns), connective)
+# -- compound phrases ----------------------------------------------------
 
 
 def test_distribute_left_and(kb):
-    cp = compound(kb, ["bake"], ["potato", "apple"], "and")
-    expr = distribute(cp)
+    expr = parse_expr("i past bake * ( potato and apple )", kb)
     assert expr_text(expr) == "(i past bake*potato) AND (i past bake*apple)"
 
 
 def test_distribute_right_and(kb):
     kb.verbs.add_atom("eat")
-    cp = compound(kb, ["bake", "eat"], ["potato"], "and")
-    expr = distribute(cp)
+    expr = parse_expr("i past ( bake and eat ) * potato", kb)
     assert expr_text(expr) == "(i past bake*potato) AND (i past eat*potato)"
 
 
 def test_distribute_left_or(kb):
-    cp = compound(kb, ["bake"], ["potato", "apple"], "or")
-    assert expr_text(distribute(cp)) == "(i past bake*potato) OR (i past bake*apple)"
+    expr = parse_expr('"i past bake * ( potato or apple )"', kb)
+    assert expr_text(expr) == "(i past bake*potato) OR (i past bake*apple)"
 
 
 def test_distribute_bad_shape(kb):
-    with pytest.raises(UnsupportedShape):
-        distribute(compound(kb, ["bake"], ["potato"], "and"))
-    with pytest.raises(UnsupportedShape):
-        distribute(compound(kb, ["bake"], ["potato", "apple"], "while"))
+    with pytest.raises(ParseError):
+        parse_expr("i past bake * ( potato )", kb)
+    with pytest.raises(ParseError) as err:
+        parse_expr("i past bake * ( potato while apple )", kb)
+    assert err.value.expected == {"and", "or"}
 
 
 def test_verb_compound_shares_multi_slot_nouns(kb):
     kb.nouns.add_atom("x")
     kb.verbs.add_atom("eat")
-    cp = compound(kb, ["bake", "eat"], ["potato", "x"], "and")
-    expr = distribute(cp)
+    expr = parse_expr("i past ( bake and eat ) * potato * x", kb)
     assert expr_text(expr) == "(i past bake*potato*x) AND (i past eat*potato*x)"
-    assert factor(expr) == cp
-
-
-def test_factor_inverts_distribute(kb):
-    kb.verbs.add_atom("eat")
-    cases = [
-        compound(kb, ["bake"], ["potato", "apple"], "and"),
-        compound(kb, ["bake", "eat"], ["potato"], "and"),
-        compound(kb, ["bake"], ["potato", "apple"], "or"),
-        compound(kb, ["bake", "eat"], ["potato"], "or"),
-    ]
-    for cp in cases:
-        assert factor(distribute(cp)) == cp
-
-
-def test_factor_rejects_unrelated(kb):
-    expr = And(Leaf(s(kb, "bake", "potato")), Leaf(s(kb, "cook", "apple")))
-    with pytest.raises(UnsupportedShape):
-        factor(expr)
 
 
 def test_compound_generalizes_through_simple_sentences(kb):
-    # "baked potatoes and apples" to "cooked vegetable and fruit":
-    # distribute, generalize each conjunct, recombine.
-    from vplogic import entails
-
-    cp = CompoundPhrase("i", Tense(PAST), ("bake",), ("potato", "apple"), "and")
-    expr = distribute(cp)
-    generalized = []
-    for leaf, target in zip((expr.left, expr.right), ("vegetable", "fruit")):
-        general = Sentence("i", Tense(PAST), kb.phrase("cook", [target]))
-        assert entails(kb, leaf.sentence, general)
-        generalized.append(Leaf(general))
-    recombined = factor(And(*generalized))
-    assert recombined == CompoundPhrase(
-        "i", Tense(PAST), ("cook",), ("vegetable", "fruit"), "and"
-    )
+    # "baked potatoes and apples" to "cooked vegetable and fruit": each
+    # conjunct of the distributed compound entails the matching one.
+    specific = parse_expr("i past_perfect bake * ( potato and apple )", kb)
+    general = parse_expr("i past_perfect cook * ( vegetable and fruit )", kb)
+    for leaf, target in ((specific.left, general.left), (specific.right, general.right)):
+        assert entails(kb, leaf.sentence, target.sentence)
+    w = World(kb)
+    w.assert_fact(specific.left.sentence)
+    assert w.eval(general) == UNKNOWN
+    w.assert_fact(specific.right.sentence)
+    assert w.eval(general) == FACTUAL
 
 
 # -- law audit -------------------------------------------------------------

@@ -12,10 +12,7 @@ from vplogic import (
     Tense,
     TimeInterval,
     VerbPhrase,
-    expr_text,
     inverse_render,
-    negate_quantified,
-    personal_or,
     render,
     temporal_entails,
 )
@@ -122,14 +119,14 @@ def test_render_round_trip(negated, lo, hi, use_timeframe):
 
 
 def test_negate_quantified(kb):
-    vp = kb.phrase("own", ["computer"])
-    ts = TemporalStatement(EXISTS, LIFETIME, "i", vp)
-    flipped = negate_quantified(ts)
-    assert flipped.quantifier == FORALL and flipped.vp.negated
-    assert negate_quantified(flipped) == ts
-    nts = TemporalStatement(FORALL, LIFETIME, "i", kb.phrase("buy", ["laptop_computer"], True))
-    assert negate_quantified(nts).quantifier == EXISTS
-    assert not negate_quantified(nts).vp.negated
+    # Negating a sentence negates its quantified reading: the quantifier
+    # swaps and the phrase flips.
+    s = Sentence("i", Tense(PAST_PERFECT), kb.phrase("own", ["computer"]))
+    ts = render(s, LIFETIME)
+    flipped = render(s.negate(), LIFETIME)
+    assert (ts.quantifier, flipped.quantifier) == (EXISTS, FORALL)
+    assert flipped.vp == ts.vp.negate()
+    assert render(s.negate().negate(), LIFETIME) == ts
 
 
 # -- entailment ----------------------------------------------------------------
@@ -221,29 +218,3 @@ def test_forall_to_exists_flag_matches_oracle():
         b = TemporalStatement(EXISTS, b.interval, "i",
                               b.vp.core().negate() if negated else b.vp.core())
         assert temporal_entails(kb, a, b) == oracle_temporal_entails(oracle, a, b)
-
-
-# -- per-person disjunctions -----------------------------------------------------
-
-
-def test_personal_or(kb):
-    premises = [("laptop_computer", "computer", "kind_of"), ("buy", "own", "way_of")]
-    out = personal_or(kb, premises, {"alice": premises, "bob": premises})
-    assert len(out) == 2
-    subject, expr = out[0]
-    assert subject == "alice"
-    assert expr_text(expr) == (
-        "(alice past_perfect own*computer) OR NOT(alice past_perfect buy*laptop_computer)"
-    )
-
-
-def test_personal_or_filters_non_accepting(kb):
-    premises = [("laptop_computer", "computer", "kind_of"), ("buy", "own", "way_of")]
-    acceptances = {"a": premises, "b": premises[:1], "c": []}
-    out = personal_or(kb, premises, acceptances)
-    assert [subject for subject, _ in out] == ["a"]
-
-
-def test_personal_or_empty(kb):
-    premises = [("laptop_computer", "computer", "kind_of"), ("buy", "own", "way_of")]
-    assert personal_or(kb, premises, {}) == []
