@@ -15,54 +15,9 @@ import os
 import sys
 
 from . import dialogue, dsl, fuzzy, inference, temporal
-from .errors import (
-    ArityMismatch,
-    Contradiction,
-    IntervalOutOfLifetime,
-    KindMismatch,
-    NoDegree,
-    NoIso,
-    NonCanonicalForm,
-    NotEntailed,
-    NotFactual,
-    OutOfRange,
-    ParseError,
-    ResolutionError,
-    SlotOutOfRange,
-    SubjectMismatch,
-    TenseMismatch,
-    UnknownAtom,
-    UnsupportedTense,
-    VagueTense,
-    VplError,
-)
+from .errors import NoIso, VplError
 from .order import normalize_id
 from .sentence import FACTUAL, FUTURE, PLAN, check_laws, expr_text
-
-USAGE_ERRORS = (
-    ParseError,
-    ResolutionError,
-    UnknownAtom,
-    KindMismatch,
-    ArityMismatch,
-    SubjectMismatch,
-    TenseMismatch,
-    SlotOutOfRange,
-    OutOfRange,
-    Contradiction,
-    VagueTense,
-    ValueError,
-)
-
-NEGATIVE_ERRORS = (
-    NotEntailed,
-    NotFactual,
-    NoDegree,
-    NoIso,
-    UnsupportedTense,
-    IntervalOutOfLifetime,
-    NonCanonicalForm,
-)
 
 
 class Emitter:
@@ -160,20 +115,19 @@ def main(argv=None) -> int:
     except (VplError, ValueError) as exc:  # any failure to load is bad input
         print(f"error: {args.kb}: {exc}", file=sys.stderr)
         return 2
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args, kb, world, emitter, cap)
-    except NEGATIVE_ERRORS as exc:
-        if emitter.machine:
+        return _HANDLERS[args.command](args, kb, world, emitter, cap)
+    except (VplError, ValueError) as exc:
+        status = getattr(exc, "exit_code", 2)
+        if status == 2:
+            print(f"error: {exc}", file=sys.stderr)
+        elif emitter.machine:
             print(json.dumps({
                 "command": args.command, "status": "negative", "reason": str(exc),
             }, sort_keys=True))
         else:
             print(f"no: {exc}")
-        return 1
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return status
 
 
 def _cmd_check(args, kb, world, emitter, cap) -> int:
@@ -260,24 +214,25 @@ def _cmd_ask(args, kb, world, emitter, cap) -> int:
 
 
 def _cmd_fuzzy(args, kb, world, emitter, cap) -> int:
+    subject = normalize_id(args.subject)
     verb = kb.verbs.atom(normalize_id(args.verb))
     item = kb.nouns.atom(normalize_id(args.item))
     categories = kb.iso_categories(verb)
     if not categories:
         raise NoIso(f"verb {verb!r} has no declared noun category")
     with_degree = [
-        c for c in categories if kb.degree(args.subject, item, c) is not None
+        c for c in categories if kb.degree(subject, item, c) is not None
     ]
     category = (with_degree or categories)[0]
     iso = fuzzy.NVIso(verb, category)
-    statement = fuzzy.fuzzy_statement(kb, args.subject, iso, item)
-    degree = kb.degree(args.subject, item, category)
+    statement = fuzzy.fuzzy_statement(kb, subject, iso, item)
+    degree = kb.degree(subject, item, category)
     emitter.emit(
         [statement],
         statement=statement,
         degree=degree,
         adverb=fuzzy.adverb_for(fuzzy.DEFAULT_SCALE, degree),
-        possible=fuzzy.possibility(kb, args.subject, iso, item),
+        possible=fuzzy.possibility(kb, subject, iso, item),
     )
     return 0
 

@@ -8,18 +8,9 @@ actually supports, not from the whole taxonomy.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 
-from .errors import (
-    Contradiction,
-    NotFactual,
-    ParseError,
-    ResolutionError,
-    SlotOutOfRange,
-    UnknownAtom,
-    VplError,
-)
+from .errors import Contradiction, NotFactual, SlotOutOfRange, VplError
 from . import dsl
 from .inference import apply_step, closure
 from .order import KIND_OF, PART_OF, WAY_OF
@@ -198,20 +189,13 @@ def repl_step(state: ReplState, line: str) -> tuple[ReplState, str]:
                 state = replace(state, focus=expr.sentence)
             return state, f"A: {value}"
         return state, "ERR: lines start with ?, ! or = [parse_error]"
-    except (ParseError, ResolutionError, UnknownAtom) as exc:
-        return state, f"ERR: {exc} [parse_error]"
     except Contradiction:
         return state, (
             "ERR: I cannot accept that, it contradicts what I already hold "
             "[contradiction]"
         )
     except VplError as exc:
-        return state, f"ERR: {exc} [{_error_code(exc)}]"
-
-
-def _error_code(exc: VplError) -> str:
-    """The snake_case of the error's class name, e.g. ``arity_mismatch``."""
-    return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
+        return state, f"ERR: {exc} [{exc.code}]"
 
 
 def _repl_question(state: ReplState, rest: str) -> tuple[ReplState, str]:

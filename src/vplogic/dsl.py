@@ -28,11 +28,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import BoundEdge, ParseError, ResolutionError, UnknownAtom, VplError
+from .errors import ParseError, ResolutionError, UnknownAtom, VplError
 from .inference import ConditionalRule
 from .kb import KnowledgeBase
 from .order import KIND_OF, NOUN, PART_OF, RESERVED_IDS, VERB, WAY_OF, normalize_id
-from .phrase import TOP_NOUN, TOP_VERB, VerbPhrase
+from .phrase import VerbPhrase
 from .sentence import (
     TENSE_FORMS,
     And,
@@ -99,21 +99,41 @@ class _Cursor:
     def advance(self) -> Token:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of input", self.line, self.end_column)
+            raise self.unexpected(None)
         self.pos += 1
         return tok
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
         tok = self.peek()
-        wanted = what or (text if text is not None else kind)
-        if tok is None:
-            raise ParseError("unexpected end of input", self.line, self.end_column,
-                             expected={wanted})
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column,
-                             expected={wanted})
+        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
+            raise self.unexpected(tok, {what or (text if text is not None else kind)})
         self.pos += 1
         return tok
+
+    def accept(self, text: str) -> Token | None:
+        """Consume the next token if it is the word (case-folded) or
+        punctuation mark ``text``; otherwise None."""
+        tok = self.peek()
+        if tok is None or tok.text.casefold() != text:
+            return None
+        self.pos += 1
+        return tok
+
+    def choice(self, words) -> str:
+        """Consume the next token, case-folded, if it is one of ``words``;
+        otherwise raise the error that lists them."""
+        tok = self.peek()
+        word = None if tok is None else tok.text.casefold()
+        if word not in words:
+            raise self.unexpected(tok, words)
+        self.pos += 1
+        return word
+
+    def unexpected(self, tok: Token | None, expected=()) -> ParseError:
+        """The error for ``tok``, or for the end of input when None."""
+        if tok is None:
+            return ParseError("unexpected end of input", self.line, self.end_column, expected)
+        return ParseError(f"unexpected {tok.text!r}", tok.line, tok.column, expected)
 
     def require_done(self) -> None:
         tok = self.peek()
@@ -255,26 +275,15 @@ def parse_kb(source: str) -> KbDocument:
 def _parse_relation(cursor: _Cursor, kind: str, line_no: int) -> RelationStmt:
     labels = (KIND_OF, PART_OF) if kind == NOUN else (WAY_OF,)
     lower = _identifier(cursor, f"{kind} id")
-    tok = cursor.expect("word", what="|".join(labels))
-    label = tok.text.casefold()
-    if label not in labels:
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column,
-                         expected=set(labels))
+    label = cursor.choice(labels)
     upper = _identifier(cursor, f"{kind} id")
     return RelationStmt(kind, lower, upper, label, line_no)
 
 
 def _parse_degree(cursor: _Cursor, line_no: int) -> DegreeStmt:
-    tok = cursor.peek()
-    if tok is not None and tok.kind == "punct" and tok.text == "*":
-        cursor.advance()
-        subject = "*"
-    else:
-        subject = _identifier(cursor, "subject or *")
+    subject = "*" if cursor.accept("*") else _identifier(cursor, "subject or *")
     item = _identifier(cursor, "noun id")
-    tok = cursor.expect("word", what="in")
-    if tok.text.casefold() != "in":
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column, expected={"in"})
+    cursor.choice(("in",))
     category = _identifier(cursor, "noun id")
     cursor.expect("punct", "=")
     value_tok = cursor.peek()
@@ -296,17 +305,6 @@ def _parse_interval(cursor: _Cursor) -> tuple[int, int]:
     return start, end
 
 
-def _subject_and_form(cursor: _Cursor) -> tuple[str, str]:
-    """The subject and tense form that open every sentence."""
-    subject = _identifier(cursor, "subject")
-    tense_tok = cursor.expect("word", what="|".join(TENSE_FORMS))
-    form = tense_tok.text.casefold()
-    if form not in TENSE_FORMS:
-        raise ParseError(f"unexpected {tense_tok.text!r}", tense_tok.line,
-                         tense_tok.column, expected=set(TENSE_FORMS))
-    return subject, form
-
-
 def _parse_sentence_body(cursor: _Cursor) -> Sentence:
     (sentence,), _ = _parse_sentences(cursor, compound=False)
     return sentence
@@ -317,12 +315,9 @@ def _parse_sentences(cursor: _Cursor, compound: bool) -> tuple[list[Sentence], s
     compounds ``subj tense ( verb and|or verb ) * noun {* noun}`` and
     ``subj tense verb * ( noun and|or noun )``, returned as its two
     sentences and the connective (None for a plain sentence)."""
-    subject, form = _subject_and_form(cursor)
-    negated = False
-    tok = cursor.peek()
-    if tok is not None and tok.kind == "word" and tok.text.casefold() == "not":
-        cursor.advance()
-        negated = True
+    subject = _identifier(cursor, "subject")
+    form = cursor.choice(TENSE_FORMS)
+    negated = cursor.accept("not") is not None
     compound = compound and not negated
     verbs, connective = _alternatives(cursor, "verb id", compound)
     cursor.expect("punct", "*")
@@ -331,18 +326,12 @@ def _parse_sentences(cursor: _Cursor, compound: bool) -> tuple[list[Sentence], s
         # A noun pair stands alone in a single-slot phrase.
         connective, slots = noun_connective, [(noun,) for noun in nouns]
     else:
-        while True:
-            tok = cursor.peek()
-            if tok is not None and tok.kind == "punct" and tok.text == "*":
-                cursor.advance()
-                nouns.append(_identifier(cursor, "noun id"))
-            else:
-                break
+        while cursor.accept("*"):
+            nouns.append(_identifier(cursor, "noun id"))
         slots = [tuple(nouns)]
     timeframe = None
-    tok = cursor.peek()
-    if tok is not None and tok.kind == "punct" and tok.text == "@":
-        at_tok = cursor.advance()
+    at_tok = cursor.accept("@")
+    if at_tok is not None:
         start, end = _parse_interval(cursor)
         if form != "past":
             raise ParseError("only plain past takes an explicit timeframe",
@@ -358,16 +347,10 @@ def _parse_sentences(cursor: _Cursor, compound: bool) -> tuple[list[Sentence], s
 
 def _alternatives(cursor: _Cursor, what: str, pair: bool) -> tuple[list[str], str | None]:
     """One id, or with ``pair`` also ``( id and|or id )``, with its connective."""
-    tok = cursor.peek()
-    if not (pair and tok is not None and tok.kind == "punct" and tok.text == "("):
+    if not (pair and cursor.accept("(")):
         return [_identifier(cursor, what)], None
-    cursor.advance()
     first = _identifier(cursor, what)
-    tok = cursor.expect("word", what="and|or")
-    connective = tok.text.casefold()
-    if connective not in ("and", "or"):
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column,
-                         expected={"and", "or"})
+    connective = cursor.choice(("and", "or"))
     second = _identifier(cursor, what)
     cursor.expect("punct", ")")
     return [first, second], connective
@@ -433,16 +416,14 @@ def _keyword(tok: Token | None) -> str | None:
 
 def _parse_or(cursor: _Cursor, kb) -> SentenceExpr:
     expr = _parse_and(cursor, kb)
-    while _keyword(cursor.peek()) == "or":
-        cursor.advance()
+    while cursor.accept("or"):
         expr = Or(expr, _parse_and(cursor, kb))
     return expr
 
 
 def _parse_and(cursor: _Cursor, kb) -> SentenceExpr:
     expr = _parse_term(cursor, kb)
-    while _keyword(cursor.peek()) == "and":
-        cursor.advance()
+    while cursor.accept("and"):
         expr = And(expr, _parse_term(cursor, kb))
     return expr
 
@@ -450,13 +431,10 @@ def _parse_and(cursor: _Cursor, kb) -> SentenceExpr:
 def _parse_term(cursor: _Cursor, kb) -> SentenceExpr:
     tok = cursor.peek()
     if tok is None:
-        raise ParseError("unexpected end of input", cursor.line, cursor.end_column,
-                         expected={"sentence", "NOT", "("})
-    if _keyword(tok) == "not":
-        cursor.advance()
+        raise cursor.unexpected(None, {"sentence", "NOT", "("})
+    if cursor.accept("not"):
         return neg(_parse_term(cursor, kb))
-    if tok.kind == "punct" and tok.text == "(":
-        cursor.advance()
+    if cursor.accept("("):
         expr = _parse_or(cursor, kb)
         cursor.expect("punct", ")")
         return expr
@@ -571,11 +549,7 @@ def load_document(doc: KbDocument, lenient: bool = False) -> tuple[KnowledgeBase
 
 def _load_statement(kb: KnowledgeBase, world: World, stmt, lenient: bool) -> None:
     if isinstance(stmt, RelationStmt):
-        order, top = (kb.nouns, TOP_NOUN) if stmt.kind == NOUN else (kb.verbs, TOP_VERB)
-        if stmt.lower == top:
-            # The phrase bounds hold beside the declared edges, so an edge
-            # out of one would break transitivity; edges into them are fine.
-            raise BoundEdge(f"no edge may leave the {stmt.kind} {top!r}, a phrase bound")
+        order = kb.nouns if stmt.kind == NOUN else kb.verbs
         order.declare(order.add_atom(stmt.lower), order.add_atom(stmt.upper), stmt.label)
     elif isinstance(stmt, IsoStmt):
         kb.add_iso(stmt.verb, stmt.category)

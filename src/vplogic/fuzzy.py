@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoDegree, NoIso, OutOfRange
-from .order import normalize_id
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,20 +57,16 @@ def adverb_for(scale: AdverbScale, degree: float) -> str:
     raise OutOfRange(f"degree must lie in [0, 1], got {degree}")
 
 
-def _require_iso(kb, iso: NVIso) -> NVIso:
-    verb = normalize_id(iso.verb)
-    category = normalize_id(iso.category)
-    if not kb.has_iso(verb, category):
-        raise NoIso(f"no declared pair {verb}~{category}")
-    return NVIso(verb, category)
+def _require_iso(kb, iso: NVIso) -> None:
+    if not kb.has_iso(iso.verb, iso.category):
+        raise NoIso(f"no declared pair {iso.verb}~{iso.category}")
 
 
 def fuzzy_statement(kb, subject: str, iso: NVIso, item: str,
                     scale: AdverbScale = DEFAULT_SCALE) -> str:
     """Frequency statement like "american rarely eat seaweed"."""
-    iso = _require_iso(kb, iso)
-    subject = normalize_id(subject)
-    item = kb.nouns.atom(normalize_id(item))
+    _require_iso(kb, iso)
+    kb.nouns.atom(item)
     degree = kb.degree(subject, item, iso.category)
     if degree is None:
         raise NoDegree(f"no degree for {item!r} in {iso.category!r} (subject {subject!r})")
@@ -84,8 +79,8 @@ def possibility(kb, subject: str, iso: NVIso, item: str) -> bool:
     Requires the item to sit under the category; a missing degree counts
     as possible, a zero degree does not.
     """
-    iso = _require_iso(kb, iso)
-    item = kb.nouns.atom(normalize_id(item))
+    _require_iso(kb, iso)
+    kb.nouns.atom(item)
     if not kb.nouns.leq(item, iso.category):
         return False
     degree = kb.degree(subject, item, iso.category)

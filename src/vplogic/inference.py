@@ -67,9 +67,6 @@ class ClosureResult:
     derivations: tuple[Derivation, ...]
     truncated: bool = False
 
-    def sentences(self) -> tuple[Sentence, ...]:
-        return tuple(d.conclusion for d in self.derivations)
-
     def __len__(self) -> int:
         return len(self.derivations)
 
@@ -114,29 +111,23 @@ def entails(kb, frm: Sentence, to: Sentence) -> bool:
 
 def _edge_steps(kb, vp: VerbPhrase):
     """Single generalization steps out of a phrase, deterministic order:
-    verb steps first, then each noun slot, neighbors sorted by id."""
-    if vp.negated:
-        for lower in kb.verbs.direct_lowers(vp.verb):
-            label = sorted(kb.verbs.labels_between(lower, vp.verb))[0]
-            yield (Step(CONTRAPOSITION, lower, vp.verb, label), vp.replace(verb=lower))
-        for slot, noun in enumerate(vp.nouns):
-            for lower in kb.nouns.direct_lowers(noun):
-                label = sorted(kb.nouns.labels_between(lower, noun))[0]
-                yield (
-                    Step(CONTRAPOSITION, lower, noun, label, slot),
-                    vp.replace(slot=slot, noun=lower),
-                )
-    else:
-        for upper in kb.verbs.direct_uppers(vp.verb):
-            label = sorted(kb.verbs.labels_between(vp.verb, upper))[0]
-            yield (Step(VERB_GENERAL, vp.verb, upper, label), vp.replace(verb=upper))
-        for slot, noun in enumerate(vp.nouns):
-            for upper in kb.nouns.direct_uppers(noun):
-                label = sorted(kb.nouns.labels_between(noun, upper))[0]
-                yield (
-                    Step(NOUN_GENERAL, noun, upper, label, slot),
-                    vp.replace(slot=slot, noun=upper),
-                )
+    verb steps first, then each noun slot, neighbors sorted by id.  A
+    positive phrase moves up the declared edges, a negated one down."""
+    atoms = [(None, kb.verbs, vp.verb)]
+    atoms += [(slot, kb.nouns, noun) for slot, noun in enumerate(vp.nouns)]
+    for slot, order, atom in atoms:
+        if vp.negated:
+            rule, neighbors = CONTRAPOSITION, order.direct_lowers(atom)
+        else:
+            rule = VERB_GENERAL if slot is None else NOUN_GENERAL
+            neighbors = order.direct_uppers(atom)
+        for nxt in neighbors:
+            lower, upper = (nxt, atom) if vp.negated else (atom, nxt)
+            label = sorted(order.labels_between(lower, upper))[0]
+            yield (
+                Step(rule, lower, upper, label, slot),
+                vp.replace(verb=nxt) if slot is None else vp.replace(slot=slot, noun=nxt),
+            )
 
 
 def _search(kb, start: VerbPhrase, keep=None):

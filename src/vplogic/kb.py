@@ -4,6 +4,8 @@ Holds the noun and verb orders, verb arities, the verb/noun-category
 isomorphism table with membership degrees, per-subject lifetimes, and
 conditional rules.  The designated atoms ``do`` and ``something`` are
 registered in every knowledge base so the phrase bounds always exist.
+Ids are normalized where text enters (the parser, the CLI): methods
+take them as given, except ``phrase``, a helper for library callers.
 """
 
 from __future__ import annotations
@@ -65,9 +67,7 @@ class KnowledgeBase:
     # -- isomorphisms and degrees ----------------------------------------
 
     def add_iso(self, verb: str, category: str) -> None:
-        verb = self.verbs.atom(normalize_id(verb))
-        category = self.nouns.atom(normalize_id(category))
-        self._isos.add((verb, category))
+        self._isos.add((self.verbs.atom(verb), self.nouns.atom(category)))
 
     def has_iso(self, verb: str, category: str) -> bool:
         return (verb, category) in self._isos
@@ -78,14 +78,12 @@ class KnowledgeBase:
     def add_degree(self, subject: str, item: str, category: str, degree: float) -> None:
         if not 0.0 <= degree <= 1.0:
             raise OutOfRange(f"degree must lie in [0, 1], got {degree}")
-        item = self.nouns.atom(normalize_id(item))
-        category = self.nouns.atom(normalize_id(category))
-        subject = "*" if subject == "*" else normalize_id(subject)
+        self.nouns.atom(item)
+        self.nouns.atom(category)
         self._degrees[(subject, item, category)] = degree
 
     def degree(self, subject: str, item: str, category: str) -> float | None:
         """Subject-specific entry first, wildcard second, else None."""
-        subject = normalize_id(subject)
         specific = self._degrees.get((subject, item, category))
         if specific is not None:
             return specific
@@ -94,10 +92,10 @@ class KnowledgeBase:
     # -- lifetimes --------------------------------------------------------
 
     def set_lifetime(self, subject: str, interval: TimeInterval) -> None:
-        self._lifetimes[normalize_id(subject)] = interval
+        self._lifetimes[subject] = interval
 
     def lifetime(self, subject: str) -> TimeInterval:
-        return self._lifetimes.get(normalize_id(subject), DEFAULT_LIFETIME)
+        return self._lifetimes.get(subject, DEFAULT_LIFETIME)
 
     # -- rules --------------------------------------------------------------
 

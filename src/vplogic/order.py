@@ -13,7 +13,8 @@ from __future__ import annotations
 import re
 
 from ._kernel import reach_closure
-from .errors import KindMismatch, UnknownAtom
+from .errors import BoundEdge, KindMismatch, UnknownAtom
+from .phrase import TOP_NOUN, TOP_VERB
 
 NOUN = "noun"
 VERB = "verb"
@@ -88,9 +89,15 @@ class Preorder:
         return ident
 
     def declare(self, lower: str, upper: str, label: str) -> Preorder:
-        """Record lower <= upper with the given relation label."""
+        """Record lower <= upper with the given relation label.  No edge
+        may leave the kind's phrase bound, ``something`` or ``do``."""
         lo, hi = self.atom(lower), self.atom(upper)
         self._check_label(label)
+        bound = TOP_NOUN if self.kind == NOUN else TOP_VERB
+        if lo == bound:
+            # The phrase bounds hold beside the declared edges, so an edge
+            # out of one would break transitivity; edges into them are fine.
+            raise BoundEdge(f"no edge may leave the {self.kind} {bound!r}, a phrase bound")
         labels = self._up[lo].get(hi)
         if labels is None:
             labels = self._up[lo][hi] = self._down[hi][lo] = set()

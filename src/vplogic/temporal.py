@@ -96,11 +96,7 @@ def inverse_render(ts: TemporalStatement, lifetime: TimeInterval) -> Sentence:
     the full lifetime reads as perfect tense, a proper subinterval as
     plain past with that timeframe.
     """
-    if ts.quantifier == EXISTS and not ts.vp.negated:
-        pass
-    elif ts.quantifier == FORALL and ts.vp.negated:
-        pass
-    else:
+    if (ts.quantifier == FORALL) != ts.vp.negated:
         raise NonCanonicalForm(
             f"no sentence template for {ts.quantifier} over "
             f"{'a negated' if ts.vp.negated else 'a positive'} phrase"

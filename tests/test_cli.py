@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import vplogic
+from vplogic import cli
 from vplogic.cli import main
 from vplogic.errors import (
     ArityMismatch,
@@ -19,6 +20,7 @@ from vplogic.errors import (
     IntervalOutOfLifetime,
     OutOfRange,
     VagueTense,
+    VplError,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -234,6 +236,31 @@ def test_queries_leave_arities_unchanged(tmp_path, monkeypatch):
         kb, after_load = loaded[-1]
         assert after_load == {"do": 1, "buy": 1, "own": 2}
         assert kb.arities == after_load, argv
+
+
+_NEGATIVE_ERRORS = {
+    "NotEntailed", "NotFactual", "NoDegree", "NoIso", "UnsupportedTense",
+    "IntervalOutOfLifetime", "NonCanonicalForm",
+}
+
+
+@pytest.mark.parametrize("cls", VplError.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_by_its_kind(cls, monkeypatch):
+    # A negative answer exits 1 on stdout; every other error is bad input
+    # and exits 2 on stderr.  None escapes as a traceback.
+    def raise_it(*args):
+        raise cls("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "check", raise_it)
+    code, out, err = run_cli("check", CORE, "i past_perfect bake*potato")
+    if cls.__name__ in _NEGATIVE_ERRORS:
+        assert (code, out, err) == (1, f"no: {cls('boom')}\n", "")
+    else:
+        assert (code, out, err) == (2, "", f"error: {cls('boom')}\n")
+
+
+def test_negative_errors_exist():
+    assert _NEGATIVE_ERRORS <= {cls.__name__ for cls in VplError.__subclasses__()}
 
 
 def test_render_uses_subject_lifetime(tmp_path):

@@ -10,13 +10,14 @@ from vplogic import (
     Tense,
     World,
     apply_question,
+    dsl,
     entails,
     generate_dialogue,
     repl_step,
     sentence,
 )
 from vplogic.dialogue import HOW, NO_REFINEMENT, WHICH_KIND, WHICH_PART
-from vplogic.errors import Contradiction, NotFactual, SlotOutOfRange
+from vplogic.errors import Contradiction, NotFactual, SlotOutOfRange, VplError
 from vplogic.order import KIND_OF, PART_OF
 from vplogic.sentence import FACTUAL, FUTURE, PAST_PERFECT, PLAN, PRESENT_CONTINUOUS
 
@@ -239,6 +240,48 @@ def test_repl_error_codes(housing, lines, code):
     for line in lines:
         state, out = repl_step(state, line)
     assert out.startswith("ERR: ") and out.endswith(f"[{code}]")
+
+
+_REPL_CODES = {
+    "ArityMismatch": "arity_mismatch",
+    "BoundEdge": "bound_edge",
+    "Contradiction": "contradiction",
+    "IntervalOutOfLifetime": "interval_out_of_lifetime",
+    "KindMismatch": "kind_mismatch",
+    "NoDegree": "no_degree",
+    "NoIso": "no_iso",
+    "NonCanonicalForm": "non_canonical_form",
+    "NotEntailed": "not_entailed",
+    "NotFactual": "not_factual",
+    "OutOfRange": "out_of_range",
+    "ParseError": "parse_error",
+    "ResolutionError": "parse_error",
+    "SlotOutOfRange": "slot_out_of_range",
+    "SubjectMismatch": "subject_mismatch",
+    "TenseMismatch": "tense_mismatch",
+    "UnknownAtom": "parse_error",
+    "UnsupportedTense": "unsupported_tense",
+    "VagueTense": "vague_tense",
+}
+
+
+def test_every_error_class_answers_with_its_code(housing, monkeypatch):
+    kb, world = housing
+    classes = VplError.__subclasses__()
+    assert {cls.__name__ for cls in classes} == set(_REPL_CODES)
+    for cls in classes:
+        def raise_it(*args):
+            raise cls("boom")
+
+        monkeypatch.setattr(dsl, "parse_expr", raise_it)
+        state = ReplState(world)
+        after, out = repl_step(state, "= i future own*property*us")
+        assert after is state
+        if cls is Contradiction:
+            message = "I cannot accept that, it contradicts what I already hold"
+        else:
+            message = str(cls("boom"))
+        assert out == f"ERR: {message} [{_REPL_CODES[cls.__name__]}]"
 
 
 def test_repl_is_deterministic(housing):

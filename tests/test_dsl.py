@@ -29,7 +29,8 @@ from vplogic.dsl import (
     RelationStmt,
 )
 from vplogic.errors import Contradiction, ParseError, ResolutionError
-from vplogic.sentence import PAST
+from vplogic.order import KIND_OF, PART_OF
+from vplogic.sentence import PAST, TENSE_FORMS
 
 EXAMPLE = """
 # a worked example
@@ -140,6 +141,22 @@ def test_other_compound_shapes_are_refused(text, column):
         with pytest.raises(ParseError) as err:
             parse_expr(source)
         assert (err.value.line, err.value.column) == (1, column + shift), source
+
+
+@pytest.mark.parametrize("parse, template, expected", [
+    (parse_kb, "noun potato {} vegetable", {KIND_OF, PART_OF}),
+    (parse_kb, "fact i {} bake*potato", set(TENSE_FORMS)),
+    (parse_kb, "degree * potato {} food = 0.5", {"in"}),
+    (parse_expr, "i past_perfect ( bake {} cook ) * potato", {"and", "or"}),
+], ids=["relation", "tense", "in", "connective"])
+def test_keyword_errors_list_the_same_words(parse, template, expected):
+    # A wrong word, a token that is no word, and the end of input all
+    # report the words the position takes.
+    wrong, not_a_word = template.format("xor"), template.format("5")
+    for source in (wrong, not_a_word, template.split("{}")[0]):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert err.value.expected == expected, source
 
 
 def test_compounds_only_in_expressions():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vplogic.errors import KindMismatch, UnknownAtom
+from vplogic.errors import BoundEdge, KindMismatch, UnknownAtom
 from vplogic.order import KIND_OF, NOUN, PART_OF, WAY_OF, Preorder, normalize_id
 from vplogic.phrase import VerbPhrase, phrase_leq
 
@@ -41,6 +41,20 @@ def test_label_must_match_kind():
     p.add_atom("food")
     with pytest.raises(KindMismatch):
         p.declare("fly", "food", WAY_OF)
+
+
+def test_no_edge_leaves_a_bound():
+    kb = make_kb(nouns=["fruit"], verbs=["eat"])
+    for order, bound, atom, label in (
+        (kb.nouns, "something", "fruit", KIND_OF),
+        (kb.verbs, "do", "eat", WAY_OF),
+    ):
+        with pytest.raises(BoundEdge, match="a phrase bound"):
+            order.declare(bound, atom, label)
+        assert order.direct_uppers(bound) == [] and order.version == 0
+        # Edges into a bound stay legal.
+        order.declare(atom, bound, label)
+        assert order.leq(atom, bound)
 
 
 def test_unknown_atom():
